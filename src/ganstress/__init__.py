@@ -24,6 +24,7 @@ from .converter import (
     SteadyStateMetrics,
     Waveform,
     ideal_boost_vout,
+    periodic_steady_state,
     simulate,
     steady_state_metrics,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "fit_log_time",
     "ideal_boost_vout",
     "normalize_series",
+    "periodic_steady_state",
     "predict_avg_vin",
     "run_cell",
     "run_matrix",

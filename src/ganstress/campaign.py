@@ -1,10 +1,19 @@
 """Reverse-bias stress campaigns: a matrix of (voltage, temperature) cells.
 
 Each cell alternates closed-form degradation marching with a periodic
-simulated measurement: the converter is re-simulated with the degraded
-on-resistance, steady-state metrics are taken, and the on-resistance is
+simulated measurement: the converter's periodic steady state is solved with
+the degraded on-resistance, its metrics are taken, and the on-resistance is
 extracted back from the averaged drain voltage. Fitting the extracted
 series against ln(t) reproduces the log-time analysis pipeline.
+
+Measurement: ``periodic_steady_state`` solves the fixed point of the
+one-period map (shooting) while conduction is continuous and the output
+stays on the clamp, and reduces one exact period. When the orbit leaves
+that topology (the current reaches zero, the output leaves the clamp) or
+the solved point does not reproduce itself, it falls back to marching
+``sim.n_periods`` periods and averaging the part after
+``sim.settle_fraction``; each fallback is recorded in the cell's
+``quality_flags`` with the sample index, or "tuning", and the event.
 
 Operating regime: the campaign drives the converter in continuous
 conduction with the output pinned at the stress level, so the drain sits at
@@ -31,9 +40,7 @@ from .converter import (
     CircuitParams,
     DriveSignal,
     SimConfig,
-    SteadyStateMetrics,
-    simulate,
-    steady_state_metrics,
+    periodic_steady_state,
 )
 from .degradation import DegradationParams, apply_stress_step
 from .device import DeviceRatings, DeviceState, SoaViolation, check_soa
@@ -49,6 +56,8 @@ DEFAULT_SCHEDULE_DECADES = 3.0
 #: The off-phase current ripple grows with stress voltage; 5 MHz keeps the
 #: current continuous up to ~130 V stress with the default inductor.
 CAMPAIGN_DRIVE = DriveSignal(frequency=5e6, duty=0.7)
+#: Campaign resolution; ``n_periods`` and ``settle_fraction`` size only the
+#: march a measurement falls back to.
 CAMPAIGN_SIM = SimConfig(steps_per_period=400, n_periods=140, settle_fraction=0.5)
 
 _TUNE_TOLERANCE = 0.02
@@ -143,26 +152,31 @@ def cell_circuit(cell: StressCell, circuit: CircuitParams) -> CircuitParams:
 def tune_vin(cell: StressCell, circuit: CircuitParams, drive: DriveSignal,
              device: DeviceState, sim: SimConfig,
              tolerance: float = _TUNE_TOLERANCE,
-             max_iterations: int = _TUNE_MAX_ITERATIONS) -> float:
+             max_iterations: int = _TUNE_MAX_ITERATIONS,
+             flags: Optional[list[str]] = None) -> float:
     """Secant search for the input voltage that hits the cell's on-time
     average current target within ``tolerance`` (relative).
 
     The averaged-voltage relation makes the current nearly linear in vin, so
-    the search converges in a few simulations. Raises if the target is not
-    met within ``max_iterations``.
+    the search converges in a few measurements, and a first guess that
+    already meets the target is returned after one. Measurements that fall
+    back to marching are appended to ``flags`` when it is given. Raises if
+    the target is not met within ``max_iterations``.
     """
     target = cell.i_drive
 
     def run(vin: float) -> float:
-        w = simulate(replace(circuit, vin=vin), drive, device, sim)
-        return steady_state_metrics(w, sim, drive).i_avg - target
+        m, fallback = periodic_steady_state(replace(circuit, vin=vin), drive, device, sim)
+        if fallback is not None and flags is not None:
+            flags.append(f"tuning (vin = {vin!r} V): marched steady state ({fallback})")
+        return m.i_avg - target
 
     x0 = cell.duty * target * device.rds_on + (1.0 - cell.duty) * cell.v_stress
-    x1 = 1.1 * x0
     f0 = run(x0)
-    f1 = run(x1)
     if abs(f0) <= tolerance * target:
         return x0
+    x1 = 1.1 * x0
+    f1 = run(x1)
     for _ in range(max_iterations):
         if abs(f1) <= tolerance * target:
             return x1
@@ -182,7 +196,7 @@ def tune_vin(cell: StressCell, circuit: CircuitParams, drive: DriveSignal,
 def run_cell(cell: StressCell, circuit: CircuitParams, drive: DriveSignal,
              ratings: DeviceRatings, deg: DegradationParams,
              sim: SimConfig = CAMPAIGN_SIM) -> CellResult:
-    """Run one stress cell: degradation march + periodic simulated extraction.
+    """Run one stress cell: degradation march + periodic steady-state extraction.
 
     Degradation is evaluated at the cell's stress level (the clamp pins the
     measured v_max there). SOA violations are recorded per sample and the
@@ -192,17 +206,18 @@ def run_cell(cell: StressCell, circuit: CircuitParams, drive: DriveSignal,
     circ = cell_circuit(cell, circuit)
     drv = replace(drive, duty=cell.duty)
     state = DeviceState(rds_on_nominal=ratings.rds_on_nominal)
+    flags: list[str] = []
     try:
-        vin = tune_vin(cell, circ, drv, state, sim)
+        vin = tune_vin(cell, circ, drv, state, sim, flags=flags)
     except (NumericInstabilityError, InvalidParameterError) as exc:
         return CellResult(cell=cell, samples=[], v_max_measured=0.0,
                           vin_tuned=float("nan"), fit=None, soa_violations=[],
-                          aborted=True, abort_reason=f"drive tuning: {exc}")
+                          quality_flags=flags, aborted=True,
+                          abort_reason=f"drive tuning: {exc}")
     circ = replace(circ, vin=vin)
 
     samples: list[RdsSample] = []
     violations: list[tuple[int, SoaViolation]] = []
-    flags: list[str] = []
     v_max_measured = 0.0
     aborted = False
     abort_reason = ""
@@ -210,19 +225,21 @@ def run_cell(cell: StressCell, circuit: CircuitParams, drive: DriveSignal,
     for idx, t_k in enumerate(cell.schedule()):
         state = apply_stress_step(state, deg, cell.v_stress, cell.temp, t_k - t_prev)
         t_prev = t_k
+        where = f"sample {idx} (t = {t_k:g} min)"
         try:
-            w = simulate(circ, drv, state, sim)
+            m, fallback = periodic_steady_state(circ, drv, state, sim)
         except NumericInstabilityError as exc:
             aborted = True
-            abort_reason = f"sample {idx} (t = {t_k:g} min): {exc}"
+            abort_reason = f"{where}: {exc}"
             break
-        m: SteadyStateMetrics = steady_state_metrics(w, sim, drv)
+        if fallback is not None:
+            flags.append(f"{where}: marched steady state ({fallback})")
         v_max_measured = max(v_max_measured, m.v_max)
         for viol in check_soa(ratings, m.v_max, m.i_peak, cell.temp):
             violations.append((idx, viol))
         r = extract_rds_on(m.v_in_avg, m.v_max, cell.duty, m.i_avg, cell.shape_factor)
         if r <= 0.0:
-            flags.append(f"sample {idx} (t = {t_k:g} min): non-positive extraction {r!r}")
+            flags.append(f"{where}: non-positive extraction {r!r}")
             continue
         samples.append(RdsSample(t_k, r))
 

@@ -20,7 +20,7 @@ from typing import Any, Optional
 
 import yaml
 
-from .campaign import StressCell
+from .campaign import CAMPAIGN_DRIVE, CAMPAIGN_SIM, StressCell
 from .converter import CircuitParams, DriveSignal, SimConfig
 from .degradation import DegradationParams
 from .device import CELSIUS_OFFSET, DeviceRatings
@@ -43,14 +43,8 @@ DEFAULT_CELLS = (
 
 #: Mode-specific drive/sim defaults. Campaign cells run fast PWM so the
 #: converter stays in continuous conduction (see campaign module).
-_DRIVE_DEFAULTS = {
-    "campaign": dict(frequency=5e6, duty=0.7, v_gate_high=5.0, v_gate_low=0.0),
-    "default": dict(frequency=100e3, duty=0.7, v_gate_high=5.0, v_gate_low=0.0),
-}
-_SIM_DEFAULTS = {
-    "campaign": dict(steps_per_period=400, n_periods=140, settle_fraction=0.5),
-    "default": dict(steps_per_period=1000, n_periods=60, settle_fraction=0.5),
-}
+_DRIVE_DEFAULTS = {"campaign": CAMPAIGN_DRIVE, "default": DriveSignal()}
+_SIM_DEFAULTS = {"campaign": CAMPAIGN_SIM, "default": SimConfig()}
 
 
 def parse_quantity(value: Any, path: str) -> float:
@@ -208,19 +202,19 @@ def parse_config(text: str, mode: str) -> RunConfig:
     drv = _Section("drive", doc.get("drive"))
     drive = _build(
         drv, DriveSignal,
-        frequency=drv.number("frequency", drv_defaults["frequency"]),
-        duty=drv.number("duty", drv_defaults["duty"]),
-        v_gate_high=drv.number("v_gate_high", drv_defaults["v_gate_high"]),
-        v_gate_low=drv.number("v_gate_low", drv_defaults["v_gate_low"]),
+        frequency=drv.number("frequency", drv_defaults.frequency),
+        duty=drv.number("duty", drv_defaults.duty),
+        v_gate_high=drv.number("v_gate_high", drv_defaults.v_gate_high),
+        v_gate_low=drv.number("v_gate_low", drv_defaults.v_gate_low),
     )
 
     sim_defaults = _SIM_DEFAULTS["campaign" if mode == "campaign" else "default"]
     simsec = _Section("sim", doc.get("sim"))
     sim = _build(
         simsec, SimConfig,
-        steps_per_period=simsec.integer("steps_per_period", sim_defaults["steps_per_period"]),
-        n_periods=simsec.integer("n_periods", sim_defaults["n_periods"]),
-        settle_fraction=simsec.number("settle_fraction", sim_defaults["settle_fraction"]),
+        steps_per_period=simsec.integer("steps_per_period", sim_defaults.steps_per_period),
+        n_periods=simsec.integer("n_periods", sim_defaults.n_periods),
+        settle_fraction=simsec.number("settle_fraction", sim_defaults.settle_fraction),
     )
 
     dev = _Section("device", doc.get("device"))

@@ -1,5 +1,5 @@
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -9,18 +9,25 @@ from ganstress import (
     CircuitParams,
     DegradationParams,
     DeviceState,
+    RdsSample,
+    SimConfig,
     StressCell,
+    apply_stress_step,
+    extract_rds_on,
+    periodic_steady_state,
     run_cell,
     run_matrix,
     simulate,
     steady_state_metrics,
     stress_slope,
 )
+from ganstress import campaign
 from ganstress.campaign import (
     CAMPAIGN_DRIVE,
     CAMPAIGN_SIM,
     cell_circuit,
     default_sample_times,
+    tune_vin,
 )
 from ganstress.errors import InvalidParameterError
 
@@ -143,3 +150,74 @@ def test_cell_validation():
         StressCell(v_stress=60.0, temp=298.15, sample_times=(10.0, 5.0))
     with pytest.raises(InvalidParameterError):
         StressCell(v_stress=60.0, temp=298.15, sample_times=(10.0, 2000.0))
+
+
+def count_measurements(monkeypatch) -> list:
+    """Record every campaign measurement as (args, fallback)."""
+    calls = []
+
+    def counting(*args):
+        m, fallback = periodic_steady_state(*args)
+        calls.append((args, fallback))
+        return m, fallback
+
+    monkeypatch.setattr(campaign, "periodic_steady_state", counting)
+    return calls
+
+
+def test_tune_vin_returns_first_guess_after_one_measurement(monkeypatch):
+    calls = count_measurements(monkeypatch)
+    cell = StressCell(v_stress=60.0, temp=298.15)
+    device = DeviceState(rds_on_nominal=EPC2038.rds_on_nominal)
+    vin = tune_vin(cell, cell_circuit(cell, CIRCUIT), CAMPAIGN_DRIVE, device, CAMPAIGN_SIM)
+    assert len(calls) == 1
+    assert vin == cell.duty * cell.i_drive * device.rds_on + (1.0 - cell.duty) * cell.v_stress
+
+
+@pytest.mark.parametrize("v_stress", [60.0, 85.0, 110.0])
+def test_solved_steady_state_matches_long_march(v_stress):
+    """At the tuned vin of each default cell, the solved period equals the
+    last half-open period of a 600-period march."""
+    cell = StressCell(v_stress=v_stress, temp=298.15)
+    device = DeviceState(rds_on_nominal=EPC2038.rds_on_nominal)
+    circ = cell_circuit(cell, CIRCUIT)
+    circ = replace(circ, vin=tune_vin(cell, circ, CAMPAIGN_DRIVE, device, CAMPAIGN_SIM))
+    m, fallback = periodic_steady_state(circ, CAMPAIGN_DRIVE, device, CAMPAIGN_SIM)
+    assert fallback is None
+
+    spp = CAMPAIGN_SIM.steps_per_period
+    w = simulate(circ, CAMPAIGN_DRIVE, device, SimConfig(steps_per_period=spp, n_periods=600))
+    last = slice(len(w) - 1 - spp, len(w) - 1)
+    on = w.gate_on[last]
+    marched = (w.v_ds[last].max(), w.v_ds[last].mean(), w.i_l[last][on].mean(), w.i_l[last].max())
+    assert astuple(m) == pytest.approx(marched, rel=1e-9)
+
+
+def test_dcm_cell_falls_back_to_the_exact_march(monkeypatch):
+    """The 120 V / 0.25 A cell's periodic orbit is discontinuous, so every
+    measurement, tuning included, is the 140-period march of CAMPAIGN_SIM."""
+    calls = count_measurements(monkeypatch)
+    cell = make_cell(120.0, times=(10.0, 1000.0), i_drive=0.25)
+    res = run_cell(cell, CIRCUIT, CAMPAIGN_DRIVE, EPC2038, DEG_DEFAULTS, CAMPAIGN_SIM)
+    assert not res.aborted
+    assert [fallback for _, fallback in calls] == ["current reaches zero"] * len(calls)
+    n_tuning = len(calls) - len(cell.schedule())
+    assert n_tuning >= 1
+    assert all(f.startswith("tuning (vin = ") for f in res.quality_flags[:n_tuning])
+    assert res.quality_flags[n_tuning:] == [
+        "sample 0 (t = 10 min): marched steady state (current reaches zero)",
+        "sample 1 (t = 1000 min): marched steady state (current reaches zero)",
+    ]
+
+    circ = replace(cell_circuit(cell, CIRCUIT), vin=res.vin_tuned)
+    state = DeviceState(rds_on_nominal=EPC2038.rds_on_nominal)
+    expected = []
+    t_prev = 0.0
+    for t in cell.schedule():
+        state = apply_stress_step(state, DEG_DEFAULTS, cell.v_stress, cell.temp, t - t_prev)
+        t_prev = t
+        w = simulate(circ, CAMPAIGN_DRIVE, state, CAMPAIGN_SIM)
+        m = steady_state_metrics(w, CAMPAIGN_SIM, CAMPAIGN_DRIVE)
+        r = extract_rds_on(m.v_in_avg, m.v_max, cell.duty, m.i_avg, cell.shape_factor)
+        expected.append(RdsSample(t, r))
+    assert res.samples == expected

@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ganstress import (
@@ -11,7 +11,9 @@ from ganstress import (
     DriveSignal,
     SimConfig,
     Waveform,
+    extract_rds_on,
     ideal_boost_vout,
+    periodic_steady_state,
     simulate,
     steady_state_metrics,
 )
@@ -128,6 +130,37 @@ def test_step_halving_convergence():
     assert abs(m2.v_in_avg - m1.v_in_avg) / m1.v_in_avg <= 0.005
 
 
+@settings(max_examples=40, deadline=None)
+@given(v_stress=st.floats(50.0, 110.0), rds_on=st.floats(1.0, 10.0),
+       i_on=st.floats(0.35, 0.5), on_steps=st.integers(240, 300))
+def test_solved_steady_state_extracts_rds_on(v_stress, rds_on, i_on, on_steps):
+    """Clamped continuous conduction at 5 MHz: the solved period is exact,
+    so extraction with shape factor 1 returns the device's rds_on."""
+    spp = 400
+    duty = on_steps / spp
+    vf = 0.5
+    circuit = CircuitParams(vin=duty * i_on * rds_on + (1.0 - duty) * v_stress,
+                            v_supply=v_stress - 2.0 * vf, diode_vf=vf)
+    drive = DriveSignal(frequency=5e6, duty=duty)
+    m, fallback = periodic_steady_state(circuit, drive, DeviceState(rds_on_nominal=rds_on),
+                                        SimConfig(steps_per_period=spp))
+    assert fallback is None
+    r = extract_rds_on(m.v_in_avg, m.v_max, duty, m.i_avg, 1.0)
+    assert r == pytest.approx(rds_on, rel=1e-12)
+
+
+@pytest.mark.parametrize("circuit, frequency, event", [
+    (CircuitParams(), 100e3, "current reaches zero"),
+    (CircuitParams(vin=18.9, v_supply=59.0, r_load=1e4), 5e6, "output leaves the clamp"),
+])
+def test_unsolvable_steady_state_falls_back_to_march(circuit, frequency, event):
+    drive = DriveSignal(frequency=frequency, duty=0.7)
+    sim = SimConfig(steps_per_period=400, n_periods=10)
+    m, fallback = periodic_steady_state(circuit, drive, DeviceState(), sim)
+    assert fallback == event
+    assert m == steady_state_metrics(simulate(circuit, drive, DeviceState(), sim), sim, drive)
+
+
 def test_instability_reports_step():
     circuit = CircuitParams(l_drain=1e-300)
     drive = DriveSignal(duty=0.7)
@@ -135,6 +168,8 @@ def test_instability_reports_step():
         simulate(circuit, drive, DeviceState(), SimConfig(n_periods=2))
     assert "step" in str(excinfo.value)
     assert excinfo.value.step >= 0
+    with pytest.raises(NumericInstabilityError):
+        periodic_steady_state(circuit, drive, DeviceState(), SimConfig(n_periods=2))
 
 
 def make_waveform(v_ds, i_l=None, gate_on=None, dt=1e-6):
