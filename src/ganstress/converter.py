@@ -24,7 +24,12 @@ and the source voltage while the branch is open.
 Integration is fixed-step explicit trapezoidal with steps aligned to the
 PWM edges, so switching instants fall exactly on grid points. The duty
 cycle is quantized to the step grid (one part in ``steps_per_period``).
-One step loop serves both entry points:
+The step loop (``_integrate``) walks each period as an on-phase run and an
+off-phase run of constant gate, and performs the float operations of a
+plain per-step loop in the same order, so its records are bit-identical to
+that loop's. The unloaded on-phase leaves the output voltage untouched,
+since its update there is exactly zero. This one loop serves both entry
+points:
 
 - ``simulate`` marches ``n_periods`` periods from the quiescent point and
   returns the whole waveform; ``steady_state_metrics`` averages the part
@@ -202,6 +207,21 @@ def _integrate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, 
     arrays with the start sample and one sample per step, ``len(i_arr) - 1``
     steps in all, and raises NumericInstabilityError at the first step that
     leaves the finite range.
+
+    Each period is walked as two runs of constant gate, the ``on_steps``
+    on-phase steps and then the off-phase. Each step records the sample it
+    starts from, so every sample a run writes has that run's gate; the
+    gate column is filled by slice. Invariant: every step performs the
+    float operations of the plain per-step loop (``deriv`` twice, a
+    clipped predictor, the trapezoid average, the finiteness check, the
+    clip; tests/helpers.py keeps that loop as ``reference_integrate``) in
+    the same order on the same operands, so the records are bit-identical
+    to it and the error names the same step. Only exact subexpressions
+    are hoisted (``rs + rds``, ``0.5 * h``, ``vin - vf``); a reordering
+    such as ``h / ell`` would change the rounding. The one elision is the
+    unloaded on-phase output update, ``v + h*(-0.0)``, which is exactly
+    ``v`` while ``v`` is finite and in ``[0, clamp]``; the clip keeps it
+    there once it starts there, so such runs step the current alone.
     """
     vin = circuit.vin
     ell = circuit.l_drain
@@ -209,60 +229,107 @@ def _integrate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, 
     vf = circuit.diode_vf
     rs = circuit.series_r
     rds = device.rds_on
+    rsd = rs + rds
+    v_open = vin - vf
     clamp = circuit.clamp_voltage
     g_load = 0.0 if circuit.r_load is None else 1.0 / circuit.r_load
+    isfinite = math.isfinite
+    hold_v = circuit.r_load is None and isfinite(v) and 0.0 <= v <= clamp
+    mi, mv, mvds = memoryview(i_arr), memoryview(v_arr), memoryview(vds_arr)
 
     n = len(i_arr) - 1
     h = 1.0 / (drive.frequency * spp)
+    hh = 0.5 * h
     on_steps = round(drive.duty * spp)
 
-    def deriv(i: float, v: float, gate: bool) -> tuple[float, float]:
-        if gate:
-            return (vin - i * (rs + rds)) / ell, (-v * g_load) / cap
-        if i > 0.0 or vin - vf - v > 0.0:
-            dv = (i - v * g_load) / cap
-            if v >= clamp and dv > 0.0:
-                dv = 0.0  # excess charge spills into the supply
-            return (vin - i * rs - vf - v) / ell, dv
-        return 0.0, (-v * g_load) / cap  # branch open: current held at zero
+    for start in range(0, n, spp):
+        on_end = min(start + on_steps, n)
+        off_end = min(start + spp, n)
+        gate_arr[start:on_end] = True
+        gate_arr[on_end:off_end] = False
+        if hold_v:
+            v_arr[start:on_end] = v
+            for k in range(start, on_end):
+                mi[k] = i
+                mvds[k] = i * rds
+                d1i = (vin - i * rsd) / ell
+                pi = i + h * d1i
+                if pi < 0.0:
+                    pi = 0.0
+                i += hh * (d1i + (vin - pi * rsd) / ell)
+                if not isfinite(i):
+                    raise NumericInstabilityError(k)
+                if i < 0.0:
+                    i = 0.0
+        else:
+            for k in range(start, on_end):
+                mi[k] = i
+                mv[k] = v
+                mvds[k] = i * rds
+                d1i = (vin - i * rsd) / ell
+                d1v = (-v * g_load) / cap
+                pi = i + h * d1i
+                pv = v + h * d1v
+                if pi < 0.0:
+                    pi = 0.0
+                if pv > clamp:
+                    pv = clamp
+                elif pv < 0.0:
+                    pv = 0.0
+                i += hh * (d1i + (vin - pi * rsd) / ell)
+                v += hh * (d1v + (-pv * g_load) / cap)
+                if not (isfinite(i) and isfinite(v)):
+                    raise NumericInstabilityError(k)
+                if i < 0.0:
+                    i = 0.0
+                if v > clamp:
+                    v = clamp
+                elif v < 0.0:
+                    v = 0.0
+        for k in range(on_end, off_end):
+            mi[k] = i
+            mv[k] = v
+            mvds[k] = v + vf if i > 0.0 else min(vin, v + vf)
+            if i > 0.0 or v_open - v > 0.0:
+                d1v = (i - v * g_load) / cap
+                if v >= clamp and d1v > 0.0:
+                    d1v = 0.0  # excess charge spills into the supply
+                d1i = (vin - i * rs - vf - v) / ell
+            else:
+                d1i = 0.0  # branch open: current held at zero
+                d1v = (-v * g_load) / cap
+            pi = i + h * d1i
+            pv = v + h * d1v
+            if pi < 0.0:
+                pi = 0.0
+            if pv > clamp:
+                pv = clamp
+            elif pv < 0.0:
+                pv = 0.0
+            if pi > 0.0 or v_open - pv > 0.0:
+                d2v = (pi - pv * g_load) / cap
+                if pv >= clamp and d2v > 0.0:
+                    d2v = 0.0
+                d2i = (vin - pi * rs - vf - pv) / ell
+            else:
+                d2i = 0.0
+                d2v = (-pv * g_load) / cap
+            i += hh * (d1i + d2i)
+            v += hh * (d1v + d2v)
+            if not (isfinite(i) and isfinite(v)):
+                raise NumericInstabilityError(k)
+            if i < 0.0:
+                i = 0.0
+            if v > clamp:
+                v = clamp
+            elif v < 0.0:
+                v = 0.0
 
-    def v_drain(i: float, v: float, gate: bool) -> float:
-        if gate:
-            return i * rds
-        if i > 0.0:
-            return v + vf
-        return min(vin, v + vf)
-
-    gate = 0 < on_steps
-    i_arr[0], v_arr[0], vds_arr[0], gate_arr[0] = i, v, v_drain(i, v, gate), gate
-
-    for k in range(n):
-        gate = (k % spp) < on_steps
-        d1i, d1v = deriv(i, v, gate)
-        pi = i + h * d1i
-        pv = v + h * d1v
-        if pi < 0.0:
-            pi = 0.0
-        if pv > clamp:
-            pv = clamp
-        elif pv < 0.0:
-            pv = 0.0
-        d2i, d2v = deriv(pi, pv, gate)
-        i += 0.5 * h * (d1i + d2i)
-        v += 0.5 * h * (d1v + d2v)
-        if not (math.isfinite(i) and math.isfinite(v)):
-            raise NumericInstabilityError(k)
-        if i < 0.0:
-            i = 0.0
-        if v > clamp:
-            v = clamp
-        elif v < 0.0:
-            v = 0.0
-        g_next = ((k + 1) % spp) < on_steps
-        i_arr[k + 1] = i
-        v_arr[k + 1] = v
-        vds_arr[k + 1] = v_drain(i, v, g_next)
-        gate_arr[k + 1] = g_next
+    gate = n % spp < on_steps
+    mi[n] = i
+    mv[n] = v
+    mvds[n] = i * rds if gate else (v + vf if i > 0.0 else min(vin, v + vf))
+    gate_arr[n] = gate
 
 
 def simulate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState,

@@ -8,7 +8,7 @@ published material rounds the same figure to 3.33 ohm. 3.3 is used here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 
@@ -81,9 +81,6 @@ class DeviceState:
     def rds_on(self) -> float:
         """Current effective on-resistance in ohms."""
         return self.rds_on_nominal * (1.0 + self.delta_r_fraction)
-
-    def fresh(self) -> "DeviceState":
-        return replace(self, delta_r_fraction=0.0, stress_time=0.0)
 
 
 def effective_rds_on(state: DeviceState, nominal: float) -> float:

@@ -17,23 +17,26 @@ from ganstress import (
     simulate,
     steady_state_metrics,
 )
-from ganstress.converter import WAVEFORM_CSV_HEADER, write_waveform_csv
+from ganstress.converter import WAVEFORM_CSV_HEADER, _integrate, write_waveform_csv
 from ganstress.errors import (
     DomainDivisionError,
     InsufficientDataError,
     InvalidParameterError,
     NumericInstabilityError,
 )
-from helpers import worst_charge_balance, worst_volt_second
+from helpers import reference_integrate, worst_charge_balance, worst_volt_second
 
 # Near-ideal switch for the lossless transfer-law checks.
 IDEAL_SWITCH = DeviceState(rds_on_nominal=1e-9)
 
 
+# Lossless boost with a resistive load; CCM at duties 0.3 to 0.7.
+LOADED_BOOST = CircuitParams(vin=10.0, l_drain=100e-6, c_out=4.7e-6, v_supply=1000.0,
+                             diode_vf=0.0, series_r=0.0, r_load=100.0)
+
+
 def loaded_boost(duty, n_periods=500, settle=0.7, spp=1000):
-    """Lossless boost with a resistive load; CCM at duties 0.3 to 0.7."""
-    circuit = CircuitParams(vin=10.0, l_drain=100e-6, c_out=4.7e-6, v_supply=1000.0,
-                            diode_vf=0.0, series_r=0.0, r_load=100.0)
+    circuit = LOADED_BOOST
     drive = DriveSignal(frequency=100e3, duty=duty)
     sim = SimConfig(steps_per_period=spp, n_periods=n_periods, settle_fraction=settle)
     w = simulate(circuit, drive, IDEAL_SWITCH, sim)
@@ -161,15 +164,101 @@ def test_unsolvable_steady_state_falls_back_to_march(circuit, frequency, event):
     assert m == steady_state_metrics(simulate(circuit, drive, DeviceState(), sim), sim, drive)
 
 
+def run_kernel(kernel, circuit, drive, device, spp, n_periods, i, v):
+    """Records of ``n_periods`` periods stepped by ``kernel`` from ``(i, v)``."""
+    n = n_periods * spp + 1
+    records = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool))
+    kernel(circuit, drive, device, spp, i, v, *records)
+    return records
+
+
+def quiescent_v(circuit):
+    """Start voltage of a ``simulate`` run."""
+    return min(max(circuit.vin - circuit.diode_vf, 0.0), circuit.clamp_voltage)
+
+
+_STRESS_5MHZ = CircuitParams(vin=18.9, v_supply=59.0)
+
+
+@pytest.mark.parametrize("circuit, drive, device, spp, n_periods, i, v", [
+    pytest.param(CircuitParams(), DriveSignal(), DeviceState(), 1000, 60, 0.0,
+                 quiescent_v(CircuitParams()), id="default-simulate-dcm"),
+    pytest.param(_STRESS_5MHZ, DriveSignal(frequency=5e6), DeviceState(), 400, 3, 0.4,
+                 _STRESS_5MHZ.clamp_voltage, id="clamped-ccm-5mhz"),
+    pytest.param(LOADED_BOOST, DriveSignal(duty=0.5), IDEAL_SWITCH, 1000, 20, 0.0, 10.0,
+                 id="loaded-boost"),
+    pytest.param(CircuitParams(series_r=2.0), DriveSignal(), DeviceState(), 1000, 10, 0.0,
+                 quiescent_v(CircuitParams()), id="series-r"),
+    pytest.param(CircuitParams(r_load=1e3), DriveSignal(duty=0.0), DeviceState(), 400, 10, 0.0,
+                 quiescent_v(CircuitParams()), id="duty-0"),
+    pytest.param(CircuitParams(), DriveSignal(duty=1.0), DeviceState(), 400, 10, 0.0,
+                 quiescent_v(CircuitParams()), id="duty-1"),
+    pytest.param(CircuitParams(v_supply=-5.0), DriveSignal(), DeviceState(), 400, 3, 0.0,
+                 quiescent_v(CircuitParams(v_supply=-5.0)), id="unloaded-clamp-below-ground"),
+])
+def test_kernel_matches_reference_stepper(circuit, drive, device, spp, n_periods, i, v):
+    """The phase-split kernel reproduces the per-step reference bit for bit."""
+    got = run_kernel(_integrate, circuit, drive, device, spp, n_periods, i, v)
+    want = run_kernel(reference_integrate, circuit, drive, device, spp, n_periods, i, v)
+    for name, a, b in zip(("i_l", "v_out", "v_ds", "gate_on"), got, want):
+        assert np.array_equal(a, b), name
+
+
+def kernel_outcome(kernel, *args):
+    """Records as bytes, or the step a NumericInstabilityError names."""
+    try:
+        return [a.tobytes() for a in run_kernel(kernel, *args)]
+    except NumericInstabilityError as exc:
+        return exc.step
+
+
+@settings(max_examples=60, deadline=None)
+@given(vin=st.floats(1.0, 80.0), stiffness=st.floats(0.01, 2.5), c_out=st.floats(1e-12, 1e-8),
+       v_supply=st.floats(-10.0, 150.0), series_r=st.sampled_from([0.0, 0.7, 3.0]),
+       r_load=st.one_of(st.none(), st.floats(10.0, 1e4)), rds_on=st.floats(0.01, 10.0),
+       frequency=st.floats(1e5, 5e6), duty=st.floats(0.0, 1.0),
+       i_scale=st.floats(0.0, 2.0), v_scale=st.floats(0.0, 1.0))
+def test_kernel_matches_reference_on_random_circuits(vin, stiffness, c_out, v_supply, series_r, r_load,
+                                                     rds_on, frequency, duty, i_scale, v_scale):
+    """Bit-identical records, or the same failing step, on random circuits.
+
+    ``stiffness`` is the on-phase ``h * (series_r + rds_on) / l_drain``:
+    near 1 a one-ulp change in the predictor survives into the recorded
+    current (past 2 the step is unstable and the run fails). Start currents
+    reach twice the on-phase limit ``vin / (series_r + rds_on)``.
+    """
+    spp = 100
+    h = 1.0 / (frequency * spp)
+    l_drain = h * (series_r + rds_on) / stiffness
+    circuit = CircuitParams(vin=vin, l_drain=l_drain, c_out=c_out, v_supply=v_supply,
+                            series_r=series_r, r_load=r_load)
+    i0 = i_scale * vin / (series_r + rds_on)
+    v0 = v_scale * max(circuit.clamp_voltage, 0.0)
+    args = (circuit, DriveSignal(frequency=frequency, duty=duty), DeviceState(rds_on_nominal=rds_on),
+            spp, 3, i0, v0)
+    assert kernel_outcome(_integrate, *args) == kernel_outcome(reference_integrate, *args)
+
+
 def test_instability_reports_step():
-    circuit = CircuitParams(l_drain=1e-300)
+    """A blow-up in either gate phase raises at the reference stepper's step."""
     drive = DriveSignal(duty=0.7)
-    with pytest.raises(NumericInstabilityError) as excinfo:
-        simulate(circuit, drive, DeviceState(), SimConfig(n_periods=2))
-    assert "step" in str(excinfo.value)
-    assert excinfo.value.step >= 0
-    with pytest.raises(NumericInstabilityError):
-        periodic_steady_state(circuit, drive, DeviceState(), SimConfig(n_periods=2))
+    sim = SimConfig(n_periods=2)
+    spp = sim.steps_per_period
+    on_steps = round(drive.duty * spp)
+    for circuit, in_on_phase in [
+        (CircuitParams(l_drain=1e-300), True),
+        (CircuitParams(c_out=1e-320), False),  # the diode current overflows dv = i / c_out
+    ]:
+        with pytest.raises(NumericInstabilityError) as excinfo:
+            simulate(circuit, drive, DeviceState(), sim)
+        with pytest.raises(NumericInstabilityError) as ref:
+            run_kernel(reference_integrate, circuit, drive, DeviceState(), spp, sim.n_periods,
+                       0.0, quiescent_v(circuit))
+        assert "step" in str(excinfo.value)
+        assert excinfo.value.step == ref.value.step
+        assert (excinfo.value.step % spp < on_steps) == in_on_phase
+        with pytest.raises(NumericInstabilityError):
+            periodic_steady_state(circuit, drive, DeviceState(), sim)
 
 
 def make_waveform(v_ds, i_l=None, gate_on=None, dt=1e-6):
