@@ -12,7 +12,7 @@ from pathlib import Path
 
 import click
 
-from .analysis import extract_rds_on, fit_log_time, read_rds_csv
+from .analysis import extract_rds_on, fit_log_time, fit_report, read_rds_csv
 from .campaign import run_matrix
 from .config import RunConfig, apply_overrides, config_hash, parse_config
 from .converter import simulate, steady_state_metrics
@@ -116,11 +116,7 @@ def fit(csv_path, out):
         with open(csv_path) as stream:
             samples = read_rds_csv(stream)
         result = fit_log_time(samples)
-        text = (f"slope = {result.slope!r}\n"
-                f"intercept = {result.intercept!r}\n"
-                f"r_squared = {result.r_squared!r}\n"
-                f"n = {result.n}\n"
-                f"slope_log10 = {result.slope_log10!r}\n")
+        text = fit_report(result)
         if out is not None:
             emit_fit(result, _prepare_out(out))
     except (GanStressError, OSError) as exc:

@@ -28,8 +28,12 @@ The step loop (``_integrate``) walks each period as an on-phase run and an
 off-phase run of constant gate, and performs the float operations of a
 plain per-step loop in the same order, so its records are bit-identical to
 that loop's. The unloaded on-phase leaves the output voltage untouched,
-since its update there is exactly zero. This one loop serves both entry
-points:
+since its update there is exactly zero. A step depends only on the state
+``(i, v)`` and its phase within the period, so once a period starts in a
+state bitwise equal to the previous period's start, every later period
+repeats that one and the loop copies it instead of stepping it (a default
+``simulate`` run in discontinuous conduction repeats from its second
+period on). This one loop serves both entry points:
 
 - ``simulate`` marches ``n_periods`` periods from the quiescent point and
   returns the whole waveform; ``steady_state_metrics`` averages the part
@@ -45,6 +49,7 @@ points:
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Optional, TextIO
 
@@ -62,6 +67,12 @@ WAVEFORM_CSV_HEADER = "t_s,v_ds_V,i_l_A,v_out_V,gate_on"
 
 #: Largest accepted |i_end - i*| / i* of the period that verifies a solved fixed point.
 _FIXED_POINT_RTOL = 1e-9
+
+#: Bit layout of an integrator state ``(i, v)``, for the period-repeat check.
+_STATE_BITS = struct.Struct("dd")
+
+#: Rows per ``stream.write`` of ``write_waveform_csv``.
+_CSV_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -84,6 +95,10 @@ class CircuitParams:
     r_load: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("vin", "l_drain", "c_out", "v_supply", "diode_vf", "series_r"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value}")
         if not self.vin > 0.0:
             raise InvalidParameterError(f"vin must be > 0, got {self.vin}")
         if not self.l_drain > 0.0:
@@ -96,6 +111,10 @@ class CircuitParams:
             raise InvalidParameterError(f"series_r must be >= 0, got {self.series_r}")
         if self.r_load is not None and not self.r_load > 0.0:
             raise InvalidParameterError(f"r_load must be > 0 or None, got {self.r_load}")
+        if self.clamp_voltage < 0.0:
+            raise InvalidParameterError(
+                f"clamp v_supply + diode_vf must be >= 0, got {self.clamp_voltage}"
+            )
 
     @property
     def clamp_voltage(self) -> float:
@@ -220,8 +239,19 @@ def _integrate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, 
     are hoisted (``rs + rds``, ``0.5 * h``, ``vin - vf``); a reordering
     such as ``h / ell`` would change the rounding. The one elision is the
     unloaded on-phase output update, ``v + h*(-0.0)``, which is exactly
-    ``v`` while ``v`` is finite and in ``[0, clamp]``; the clip keeps it
-    there once it starts there, so such runs step the current alone.
+    ``v`` while ``v`` is finite, in ``[0, clamp]`` and not ``-0.0`` (which
+    that update turns into ``0.0``); the clip keeps it there once it starts
+    there, so such runs step the current alone.
+
+    Period-repeat shortcut: a step reads only ``(i, v)`` and the phase, so
+    when a period starts in a state bitwise equal to the previous period's
+    start state, that period and every later one repeat the previous one
+    exactly. The rest of the records, the closing sample included (it is
+    the sample at its phase), are then copied from the previous period by
+    slice, a truncated last period included. States are compared by their
+    bits, not by ``==``, which equates ``0.0`` and ``-0.0`` although they
+    can step to different records. A repeated period stayed finite, so no
+    copied step could have raised.
     """
     vin = circuit.vin
     ell = circuit.l_drain
@@ -234,7 +264,8 @@ def _integrate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, 
     clamp = circuit.clamp_voltage
     g_load = 0.0 if circuit.r_load is None else 1.0 / circuit.r_load
     isfinite = math.isfinite
-    hold_v = circuit.r_load is None and isfinite(v) and 0.0 <= v <= clamp
+    hold_v = (circuit.r_load is None and isfinite(v) and 0.0 <= v <= clamp
+              and math.copysign(1.0, v) > 0.0)
     mi, mv, mvds = memoryview(i_arr), memoryview(v_arr), memoryview(vds_arr)
 
     n = len(i_arr) - 1
@@ -242,7 +273,14 @@ def _integrate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, 
     hh = 0.5 * h
     on_steps = round(drive.duty * spp)
 
+    last_state = None
     for start in range(0, n, spp):
+        state = _STATE_BITS.pack(i, v)
+        if state == last_state:
+            for arr in (i_arr, v_arr, vds_arr, gate_arr):
+                _tile_period(arr, start, spp)
+            return
+        last_state = state
         on_end = min(start + on_steps, n)
         off_end = min(start + spp, n)
         gate_arr[start:on_end] = True
@@ -330,6 +368,14 @@ def _integrate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, 
     mv[n] = v
     mvds[n] = i * rds if gate else (v + vf if i > 0.0 else min(vin, v + vf))
     gate_arr[n] = gate
+
+
+def _tile_period(arr: np.ndarray, start: int, spp: int) -> None:
+    """Fill ``arr[start:]`` with repeats of the period ``arr[start - spp:start]``."""
+    whole, rest = divmod(len(arr) - start, spp)
+    period = arr[start - spp:start]
+    arr[start:start + whole * spp].reshape(whole, spp)[:] = period
+    arr[start + whole * spp:] = period[:rest]
 
 
 def simulate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState,
@@ -462,10 +508,26 @@ def periodic_steady_state(circuit: CircuitParams, drive: DriveSignal, device: De
     return _window_metrics(vds_arr[:spp], i_arr[:spp], gate_arr[:spp]), None
 
 
+def _distinct_reprs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``repr`` of each distinct bit pattern of ``a`` (so ``0.0`` and
+    ``-0.0`` stay apart), and the index of each element's pattern."""
+    _, first, inverse = np.unique(a.view(f"u{a.itemsize}"), return_index=True, return_inverse=True)
+    return np.array([repr(x) for x in a[first].tolist()], dtype=object), inverse
+
+
 def write_waveform_csv(w: Waveform, stream: TextIO) -> None:
-    """Write the exact waveform CSV format (gate_on encoded as 1/0)."""
+    """Write the exact waveform CSV format (gate_on encoded as 1/0).
+
+    Every float is written as its ``repr``, the shortest string that reads
+    back to the same float. The ``repr`` of a ``v_ds`` / ``i_l`` / ``v_out``
+    value is computed once per distinct bit pattern (a marched run repeats
+    few values), that of a time per sample. Rows are written in chunks of
+    ``_CSV_CHUNK_ROWS``, so no whole-file string is built.
+    """
     stream.write(WAVEFORM_CSV_HEADER + "\n")
-    t, v_ds, i_l, v_out = (a.tolist() for a in (w.t, w.v_ds, w.i_l, w.v_out))
-    gate = w.gate_on.astype(int).tolist()
-    for k in range(len(t)):
-        stream.write(f"{t[k]!r},{v_ds[k]!r},{i_l[k]!r},{v_out[k]!r},{gate[k]}\n")
+    columns = [_distinct_reprs(a) for a in (w.v_ds, w.i_l, w.v_out, w.gate_on.astype(int))]
+    for lo in range(0, len(w), _CSV_CHUNK_ROWS):
+        hi = lo + _CSV_CHUNK_ROWS
+        rows = zip(map(repr, w.t[lo:hi].tolist()),
+                   *(text[index[lo:hi]].tolist() for text, index in columns))
+        stream.write("\n".join(map(",".join, rows)) + "\n")

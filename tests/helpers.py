@@ -1,12 +1,14 @@
-"""Shared checks for the physics invariants of simulated waveforms, and the
-closure-based reference stepper that ``converter._integrate`` must match."""
+"""Shared checks for the physics invariants of simulated waveforms, the
+closure-based reference stepper that ``converter._integrate`` must match,
+and the per-row reference writer that ``write_waveform_csv`` must match."""
 
 import math
+from typing import TextIO
 
 import numpy as np
 
 from ganstress import CircuitParams, DeviceState, DriveSignal, SimConfig, Waveform
-from ganstress.converter import settle_start_index
+from ganstress.converter import WAVEFORM_CSV_HEADER, settle_start_index
 from ganstress.errors import NumericInstabilityError
 
 
@@ -127,3 +129,13 @@ def reference_integrate(circuit: CircuitParams, drive: DriveSignal, device: Devi
         v_arr[k + 1] = v
         vds_arr[k + 1] = v_drain(i, v, g_next)
         gate_arr[k + 1] = g_next
+
+
+def reference_write_waveform_csv(w: Waveform, stream: TextIO) -> None:
+    """Test-only reference for ``converter.write_waveform_csv``: one f-string
+    and one write per row. The production writer must produce the same text."""
+    stream.write(WAVEFORM_CSV_HEADER + "\n")
+    t, v_ds, i_l, v_out = (a.tolist() for a in (w.t, w.v_ds, w.i_l, w.v_out))
+    gate = w.gate_on.astype(int).tolist()
+    for k in range(len(t)):
+        stream.write(f"{t[k]!r},{v_ds[k]!r},{i_l[k]!r},{v_out[k]!r},{gate[k]}\n")

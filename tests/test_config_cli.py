@@ -214,6 +214,16 @@ def test_cli_fit_round_trip(tmp_path):
     assert (tmp_path / "out" / "fit.txt").exists()
 
 
+def test_cli_fit_prints_fit_txt(tmp_path):
+    csv = tmp_path / "series.csv"
+    csv.write_text("t_min,rds_on_ohm\n0.0,9.9\n1.0,2.0\n10.0,3.1513\n100.0,4.3026\n")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli, ["fit", str(csv), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "n_dropped = 1" in result.output
+    assert result.output == (out / "fit.txt").read_text()
+
+
 def test_cli_fit_bad_header_exit_2(tmp_path):
     csv = tmp_path / "bad.csv"
     csv.write_text("time,ohm\n1,2\n")
@@ -241,6 +251,16 @@ def test_cli_simulate_validation_error_exit_2(tmp_path):
                                  "--set", "drive.duty=1.5"])
     assert result.exit_code == 2
     assert "duty" in result.output
+
+
+@pytest.mark.parametrize("override, field", [
+    ("circuit.v_supply=-5", "clamp"),
+    ("circuit.diode_vf=.nan", "diode_vf"),
+])
+def test_cli_simulate_bad_circuit_exit_2(tmp_path, override, field):
+    result = CliRunner().invoke(cli, ["simulate", "--out", str(tmp_path), "--set", override])
+    assert result.exit_code == 2
+    assert field in result.output
 
 
 def test_cli_simulate_instability_exit_3(tmp_path):

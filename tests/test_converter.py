@@ -17,14 +17,19 @@ from ganstress import (
     simulate,
     steady_state_metrics,
 )
-from ganstress.converter import WAVEFORM_CSV_HEADER, _integrate, write_waveform_csv
+from ganstress.converter import _CSV_CHUNK_ROWS, WAVEFORM_CSV_HEADER, _integrate, write_waveform_csv
 from ganstress.errors import (
     DomainDivisionError,
     InsufficientDataError,
     InvalidParameterError,
     NumericInstabilityError,
 )
-from helpers import reference_integrate, worst_charge_balance, worst_volt_second
+from helpers import (
+    reference_integrate,
+    reference_write_waveform_csv,
+    worst_charge_balance,
+    worst_volt_second,
+)
 
 # Near-ideal switch for the lossless transfer-law checks.
 IDEAL_SWITCH = DeviceState(rds_on_nominal=1e-9)
@@ -165,8 +170,9 @@ def test_unsolvable_steady_state_falls_back_to_march(circuit, frequency, event):
 
 
 def run_kernel(kernel, circuit, drive, device, spp, n_periods, i, v):
-    """Records of ``n_periods`` periods stepped by ``kernel`` from ``(i, v)``."""
-    n = n_periods * spp + 1
+    """Records of ``n_periods`` periods (rounded to whole steps) stepped by
+    ``kernel`` from ``(i, v)``."""
+    n = round(n_periods * spp) + 1
     records = (np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool))
     kernel(circuit, drive, device, spp, i, v, *records)
     return records
@@ -193,15 +199,22 @@ _STRESS_5MHZ = CircuitParams(vin=18.9, v_supply=59.0)
                  quiescent_v(CircuitParams()), id="duty-0"),
     pytest.param(CircuitParams(), DriveSignal(duty=1.0), DeviceState(), 400, 10, 0.0,
                  quiescent_v(CircuitParams()), id="duty-1"),
-    pytest.param(CircuitParams(v_supply=-5.0), DriveSignal(), DeviceState(), 400, 3, 0.0,
-                 quiescent_v(CircuitParams(v_supply=-5.0)), id="unloaded-clamp-below-ground"),
+    pytest.param(CircuitParams(), DriveSignal(), DeviceState(), 400, 3, 0.0,
+                 CircuitParams().clamp_voltage + 10.0, id="unloaded-start-above-clamp"),
+    pytest.param(CircuitParams(), DriveSignal(), DeviceState(), 1000, 5, -0.0,
+                 CircuitParams().clamp_voltage, id="dcm-from-negative-zero-current"),
+    pytest.param(CircuitParams(), DriveSignal(), DeviceState(), 400, 4, 0.0, -0.0,
+                 id="unloaded-from-negative-zero-output"),
+    pytest.param(CircuitParams(), DriveSignal(), DeviceState(), 1000, 5.85, 0.0,
+                 quiescent_v(CircuitParams()), id="dcm-truncated-last-period"),
 ])
 def test_kernel_matches_reference_stepper(circuit, drive, device, spp, n_periods, i, v):
-    """The phase-split kernel reproduces the per-step reference bit for bit."""
+    """The phase-split kernel reproduces the per-step reference bit for bit
+    (bytes, so the sign of a zero counts)."""
     got = run_kernel(_integrate, circuit, drive, device, spp, n_periods, i, v)
     want = run_kernel(reference_integrate, circuit, drive, device, spp, n_periods, i, v)
     for name, a, b in zip(("i_l", "v_out", "v_ds", "gate_on"), got, want):
-        assert np.array_equal(a, b), name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def kernel_outcome(kernel, *args):
@@ -214,7 +227,7 @@ def kernel_outcome(kernel, *args):
 
 @settings(max_examples=60, deadline=None)
 @given(vin=st.floats(1.0, 80.0), stiffness=st.floats(0.01, 2.5), c_out=st.floats(1e-12, 1e-8),
-       v_supply=st.floats(-10.0, 150.0), series_r=st.sampled_from([0.0, 0.7, 3.0]),
+       v_supply=st.floats(-0.5, 150.0), series_r=st.sampled_from([0.0, 0.7, 3.0]),
        r_load=st.one_of(st.none(), st.floats(10.0, 1e4)), rds_on=st.floats(0.01, 10.0),
        frequency=st.floats(1e5, 5e6), duty=st.floats(0.0, 1.0),
        i_scale=st.floats(0.0, 2.0), v_scale=st.floats(0.0, 1.0))
@@ -226,6 +239,7 @@ def test_kernel_matches_reference_on_random_circuits(vin, stiffness, c_out, v_su
     near 1 a one-ulp change in the predictor survives into the recorded
     current (past 2 the step is unstable and the run fails). Start currents
     reach twice the on-phase limit ``vin / (series_r + rds_on)``.
+    ``v_supply`` starts at ``-diode_vf``, the lowest valid clamp (0 V).
     """
     spp = 100
     h = 1.0 / (frequency * spp)
@@ -233,7 +247,7 @@ def test_kernel_matches_reference_on_random_circuits(vin, stiffness, c_out, v_su
     circuit = CircuitParams(vin=vin, l_drain=l_drain, c_out=c_out, v_supply=v_supply,
                             series_r=series_r, r_load=r_load)
     i0 = i_scale * vin / (series_r + rds_on)
-    v0 = v_scale * max(circuit.clamp_voltage, 0.0)
+    v0 = v_scale * circuit.clamp_voltage
     args = (circuit, DriveSignal(frequency=frequency, duty=duty), DeviceState(rds_on_nominal=rds_on),
             spp, 3, i0, v0)
     assert kernel_outcome(_integrate, *args) == kernel_outcome(reference_integrate, *args)
@@ -328,6 +342,48 @@ def test_waveform_csv_header_and_determinism():
     assert row[4] in ("0", "1")
 
 
+def _write(writer, w):
+    buf = io.StringIO()
+    writer(w, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("circuit, drive, device, sim", [
+    pytest.param(CircuitParams(), DriveSignal(), DeviceState(), SimConfig(), id="default-simulate"),
+    pytest.param(LOADED_BOOST, DriveSignal(duty=0.5), IDEAL_SWITCH, SimConfig(n_periods=20),
+                 id="loaded-boost"),
+    pytest.param(_STRESS_5MHZ, DriveSignal(frequency=5e6), DeviceState(),
+                 SimConfig(steps_per_period=400, n_periods=60), id="clamped-ccm-5mhz"),
+])
+def test_waveform_csv_matches_reference_writer(circuit, drive, device, sim):
+    w = simulate(circuit, drive, device, sim)
+    assert _write(write_waveform_csv, w) == _write(reference_write_waveform_csv, w)
+
+
+# Values whose repr or bit pattern a column-wise writer could get wrong.
+_CSV_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+                     1e22, 1e16, 0.1, 1.0, float("inf"), float("nan")]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 2, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1]),
+       dt=st.floats(1e-12, 1e3), palettes=st.lists(st.lists(_CSV_VALUES, min_size=1, max_size=6),
+                                                   min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_waveform_csv_matches_reference_on_built_waveforms(n, dt, palettes, seed):
+    """Columns drawn from a few values, mixing signed zeros, subnormals,
+    extremes and repeats, over lengths that end on either side of a chunk."""
+    rng = np.random.default_rng(seed)
+    v_ds, i_l, v_out = (np.array(p)[rng.integers(len(p), size=n)] for p in palettes)
+    i_l = np.where(i_l < 0.0, -i_l, i_l)  # the waveform rejects i_l < 0; -0.0 and nan pass
+    w = Waveform(t=np.arange(n) * dt, v_ds=v_ds, i_l=i_l, v_out=v_out,
+                 gate_on=rng.integers(2, size=n).astype(bool))
+    assert _write(write_waveform_csv, w) == _write(reference_write_waveform_csv, w)
+
+
 def test_sim_config_bounds():
     with pytest.raises(InvalidParameterError):
         SimConfig(steps_per_period=50)
@@ -355,3 +411,16 @@ def test_circuit_bounds():
         CircuitParams(diode_vf=-0.1)
     with pytest.raises(InvalidParameterError):
         CircuitParams(r_load=0.0)
+
+
+@pytest.mark.parametrize("field", ["vin", "l_drain", "c_out", "v_supply", "diode_vf", "series_r"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_circuit_rejects_non_finite_values(field, value):
+    with pytest.raises(InvalidParameterError, match=field):
+        CircuitParams(**{field: value})
+
+
+def test_circuit_rejects_clamp_below_ground():
+    with pytest.raises(InvalidParameterError, match="clamp"):
+        CircuitParams(v_supply=-0.6, diode_vf=0.5)
+    assert CircuitParams(v_supply=-0.5, diode_vf=0.5).clamp_voltage == 0.0
