@@ -40,7 +40,6 @@ from .device import (
     DeviceState,
     SoaViolation,
     check_soa,
-    effective_rds_on,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +63,6 @@ __all__ = [
     "apply_stress_step",
     "check_soa",
     "delta_r_fraction",
-    "effective_rds_on",
     "extract_rds_on",
     "fit_log_time",
     "ideal_boost_vout",

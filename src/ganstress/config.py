@@ -26,7 +26,7 @@ from .degradation import DegradationParams
 from .device import CELSIUS_OFFSET, DeviceRatings
 from .errors import ConfigurationError, GanStressError
 
-MODES = ("simulate", "campaign", "fit", "extract")
+MODES = ("simulate", "campaign")
 
 _ENG_SUFFIXES = {
     "f": 1e-15, "p": 1e-12, "n": 1e-9, "u": 1e-6, "µ": 1e-6,

@@ -27,13 +27,18 @@ cycle is quantized to the step grid (one part in ``steps_per_period``).
 The step loop (``_integrate``) walks each period as an on-phase run and an
 off-phase run of constant gate, and performs the float operations of a
 plain per-step loop in the same order, so its records are bit-identical to
-that loop's. The unloaded on-phase leaves the output voltage untouched,
-since its update there is exactly zero. A step depends only on the state
-``(i, v)`` and its phase within the period, so once a period starts in a
-state bitwise equal to the previous period's start, every later period
-repeats that one and the loop copies it instead of stepping it (a default
-``simulate`` run in discontinuous conduction repeats from its second
-period on). This one loop serves both entry points:
+that loop's. Without a load resistor the output update is exactly zero in
+the on-phase, and in an off-phase that starts with the output on the clamp
+(the spill rule zeroes it there), so those runs step the current alone:
+every campaign measurement keeps its output on the clamp for the whole
+period. ``v_ds`` is not stepped: it is computed after stepping, in one
+numpy pass over the finished current, voltage and gate records. A step
+depends only on the state ``(i, v)`` and its phase within the period, so
+once a period starts in a state bitwise equal to the previous period's
+start, every later period repeats that one and the loop copies it instead
+of stepping it (a default ``simulate`` run in discontinuous conduction
+repeats from its second period on). This one loop serves both entry
+points:
 
 - ``simulate`` marches ``n_periods`` periods from the quiescent point and
   returns the whole waveform; ``steady_state_metrics`` averages the part
@@ -176,6 +181,9 @@ class Waveform:
         n = len(self.t)
         if any(len(a) != n for a in (self.v_ds, self.i_l, self.v_out, self.gate_on)):
             raise InvalidParameterError("waveform columns must have equal length")
+        for name in ("t", "v_ds", "i_l", "v_out"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InvalidParameterError(f"waveform {name} must be finite at all samples")
         if n >= 2:
             dt = np.diff(self.t)
             if not (dt > 0).all():
@@ -237,21 +245,41 @@ def _integrate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, 
     the same order on the same operands, so the records are bit-identical
     to it and the error names the same step. Only exact subexpressions
     are hoisted (``rs + rds``, ``0.5 * h``, ``vin - vf``); a reordering
-    such as ``h / ell`` would change the rounding. The one elision is the
-    unloaded on-phase output update, ``v + h*(-0.0)``, which is exactly
-    ``v`` while ``v`` is finite, in ``[0, clamp]`` and not ``-0.0`` (which
-    that update turns into ``0.0``); the clip keeps it there once it starts
-    there, so such runs step the current alone.
+    such as ``h / ell`` would change the rounding.
+
+    Two elisions, both under ``hold_v``: no load, and ``v`` finite, in
+    ``[0, clamp]`` and not ``-0.0`` (which an update by ``+0.0`` turns
+    into ``0.0``); the clip keeps ``v`` there once it starts there.
+
+    - Unloaded on-phase: the output update ``v + h*(-0.0)`` is exactly
+      ``v``, so the current is stepped alone.
+    - Pinned off-phase: one that starts with ``v == clamp`` and ``i >= 0``.
+      Both output slopes are then ``±0.0`` (the spill rule zeroes a
+      positive one), so ``v`` stays on the clamp for the whole phase, and
+      the predictor ``pv`` equals ``v``. The current is stepped alone with
+      the same operations, ``vin - vf - v > 0`` standing for the
+      forward-open test on both ``v`` and ``pv``. A current that leaves
+      the finite range raises at the same step, since the reference's
+      check fails on it too. A negative start current (only a caller's
+      start state can be negative) would move ``v``, so it is stepped in
+      full.
+
+    ``v_ds`` is computed after stepping, in one numpy pass over the
+    finished records: ``i * rds`` where the gate is on, else ``v + vf``
+    where ``i > 0``, else ``min(vin, v + vf)``. numpy float64 ``*`` and
+    ``+`` round like Python floats, and ``fmin(vin, x)`` equals
+    ``min(vin, x)`` for the positive finite ``vin`` (a NaN ``x`` included),
+    so the column is bit-identical to the reference's per-step one.
 
     Period-repeat shortcut: a step reads only ``(i, v)`` and the phase, so
     when a period starts in a state bitwise equal to the previous period's
     start state, that period and every later one repeat the previous one
-    exactly. The rest of the records, the closing sample included (it is
-    the sample at its phase), are then copied from the previous period by
-    slice, a truncated last period included. States are compared by their
-    bits, not by ``==``, which equates ``0.0`` and ``-0.0`` although they
-    can step to different records. A repeated period stayed finite, so no
-    copied step could have raised.
+    exactly. The rest of the current, voltage and gate records, the closing
+    sample included (it is the sample at its phase), are then copied from
+    the previous period by slice, a truncated last period included. States
+    are compared by their bits, not by ``==``, which equates ``0.0`` and
+    ``-0.0`` although they can step to different records. A repeated period
+    stayed finite, so no copied step could have raised.
     """
     vin = circuit.vin
     ell = circuit.l_drain
@@ -266,7 +294,8 @@ def _integrate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, 
     isfinite = math.isfinite
     hold_v = (circuit.r_load is None and isfinite(v) and 0.0 <= v <= clamp
               and math.copysign(1.0, v) > 0.0)
-    mi, mv, mvds = memoryview(i_arr), memoryview(v_arr), memoryview(vds_arr)
+    open_fwd = v_open - clamp > 0.0
+    mi, mv = memoryview(i_arr), memoryview(v_arr)
 
     n = len(i_arr) - 1
     h = 1.0 / (drive.frequency * spp)
@@ -277,9 +306,9 @@ def _integrate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, 
     for start in range(0, n, spp):
         state = _STATE_BITS.pack(i, v)
         if state == last_state:
-            for arr in (i_arr, v_arr, vds_arr, gate_arr):
+            for arr in (i_arr, v_arr, gate_arr):
                 _tile_period(arr, start, spp)
-            return
+            break
         last_state = state
         on_end = min(start + on_steps, n)
         off_end = min(start + spp, n)
@@ -289,7 +318,6 @@ def _integrate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, 
             v_arr[start:on_end] = v
             for k in range(start, on_end):
                 mi[k] = i
-                mvds[k] = i * rds
                 d1i = (vin - i * rsd) / ell
                 pi = i + h * d1i
                 if pi < 0.0:
@@ -303,7 +331,6 @@ def _integrate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, 
             for k in range(start, on_end):
                 mi[k] = i
                 mv[k] = v
-                mvds[k] = i * rds
                 d1i = (vin - i * rsd) / ell
                 d1v = (-v * g_load) / cap
                 pi = i + h * d1i
@@ -324,10 +351,30 @@ def _integrate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, 
                     v = clamp
                 elif v < 0.0:
                     v = 0.0
+        if hold_v and v == clamp and i >= 0.0:  # pinned off-phase: v stays on the clamp
+            v_arr[on_end:off_end] = v
+            for k in range(on_end, off_end):
+                mi[k] = i
+                if i > 0.0 or open_fwd:
+                    d1i = (vin - i * rs - vf - v) / ell
+                else:
+                    d1i = 0.0
+                pi = i + h * d1i
+                if pi < 0.0:
+                    pi = 0.0
+                if pi > 0.0 or open_fwd:
+                    d2i = (vin - pi * rs - vf - v) / ell
+                else:
+                    d2i = 0.0
+                i += hh * (d1i + d2i)
+                if not isfinite(i):
+                    raise NumericInstabilityError(k)
+                if i < 0.0:
+                    i = 0.0
+            continue
         for k in range(on_end, off_end):
             mi[k] = i
             mv[k] = v
-            mvds[k] = v + vf if i > 0.0 else min(vin, v + vf)
             if i > 0.0 or v_open - v > 0.0:
                 d1v = (i - v * g_load) / cap
                 if v >= clamp and d1v > 0.0:
@@ -362,12 +409,15 @@ def _integrate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, 
                 v = clamp
             elif v < 0.0:
                 v = 0.0
+    else:  # no period repeated: record the closing sample
+        mi[n] = i
+        mv[n] = v
+        gate_arr[n] = n % spp < on_steps
 
-    gate = n % spp < on_steps
-    mi[n] = i
-    mv[n] = v
-    mvds[n] = i * rds if gate else (v + vf if i > 0.0 else min(vin, v + vf))
-    gate_arr[n] = gate
+    # fmin, not minimum: like min(vin, x) it gives vin for a NaN x.
+    np.add(v_arr, vf, out=vds_arr)
+    np.fmin(vin, vds_arr, out=vds_arr, where=~(i_arr > 0.0))
+    np.multiply(i_arr, rds, out=vds_arr, where=gate_arr)
 
 
 def _tile_period(arr: np.ndarray, start: int, spp: int) -> None:

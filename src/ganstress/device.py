@@ -37,6 +37,11 @@ class DeviceRatings:
     rds_on_nominal: float = 3.3
 
     def __post_init__(self):
+        for name in ("vds_max_pulsed", "vds_max_continuous", "id_max", "vgs_max", "vgs_min",
+                     "tj_min", "tj_max", "rds_on_nominal"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value}")
         if not (self.vds_max_pulsed >= self.vds_max_continuous > 0.0):
             raise InvalidParameterError(
                 "requires vds_max_pulsed >= vds_max_continuous > 0, got "
@@ -70,8 +75,10 @@ class DeviceState:
     stress_time: float = 0.0
 
     def __post_init__(self):
-        if not self.rds_on_nominal > 0.0:
-            raise InvalidParameterError(f"rds_on_nominal must be > 0, got {self.rds_on_nominal}")
+        if not (self.rds_on_nominal > 0.0 and math.isfinite(self.rds_on_nominal)):
+            raise InvalidParameterError(
+                f"rds_on_nominal must be positive and finite, got {self.rds_on_nominal}"
+            )
         if self.delta_r_fraction < 0.0:
             raise InvalidParameterError(f"delta_r_fraction must be >= 0, got {self.delta_r_fraction}")
         if self.stress_time < 0.0:
@@ -81,13 +88,6 @@ class DeviceState:
     def rds_on(self) -> float:
         """Current effective on-resistance in ohms."""
         return self.rds_on_nominal * (1.0 + self.delta_r_fraction)
-
-
-def effective_rds_on(state: DeviceState, nominal: float) -> float:
-    """Apply the accumulated delta-R fraction to a nominal on-resistance."""
-    if not (nominal > 0.0 and math.isfinite(nominal)):
-        raise InvalidParameterError(f"nominal rds_on must be a positive finite value, got {nominal}")
-    return nominal * (1.0 + state.delta_r_fraction)
 
 
 @dataclass(frozen=True)

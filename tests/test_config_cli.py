@@ -256,6 +256,7 @@ def test_cli_simulate_validation_error_exit_2(tmp_path):
 @pytest.mark.parametrize("override, field", [
     ("circuit.v_supply=-5", "clamp"),
     ("circuit.diode_vf=.nan", "diode_vf"),
+    ("device.rds_on_nominal=.inf", "rds_on_nominal"),
 ])
 def test_cli_simulate_bad_circuit_exit_2(tmp_path, override, field):
     result = CliRunner().invoke(cli, ["simulate", "--out", str(tmp_path), "--set", override])

@@ -7,7 +7,6 @@ from ganstress import (
     DeviceRatings,
     DeviceState,
     check_soa,
-    effective_rds_on,
 )
 from ganstress.errors import InvalidParameterError
 
@@ -71,38 +70,37 @@ def test_soa_flags_any_single_exceeded_limit(excess):
 
 
 def test_effective_rds_on_zero_degradation():
-    assert effective_rds_on(DeviceState(), 3.3) == 3.3
+    assert DeviceState(rds_on_nominal=3.3).rds_on == 3.3
 
 
 def test_effective_rds_on_ten_percent():
-    state = DeviceState(delta_r_fraction=0.1)
-    assert effective_rds_on(state, 3.3) == pytest.approx(3.63, rel=1e-12)
+    state = DeviceState(rds_on_nominal=3.3, delta_r_fraction=0.1)
+    assert state.rds_on == pytest.approx(3.63, rel=1e-12)
 
 
 def test_effective_rds_on_after_one_log_unit_of_stress():
-    state = DeviceState(delta_r_fraction=DELTA_E_MINUS_1)
-    assert effective_rds_on(state, 3.3) == pytest.approx(3.3283640892270543, rel=1e-12)
+    state = DeviceState(rds_on_nominal=3.3, delta_r_fraction=DELTA_E_MINUS_1)
+    assert state.rds_on == pytest.approx(3.3283640892270543, rel=1e-12)
 
 
 def test_effective_rds_on_rejects_bad_nominal():
-    with pytest.raises(InvalidParameterError):
-        effective_rds_on(DeviceState(), 0.0)
-    with pytest.raises(InvalidParameterError):
-        effective_rds_on(DeviceState(), -1.0)
+    for nominal in (0.0, -1.0, float("inf")):
+        with pytest.raises(InvalidParameterError):
+            DeviceState(rds_on_nominal=nominal)
 
 
 @given(lo=st.floats(0.0, 5.0), gap=st.floats(1e-9, 5.0), nominal=st.floats(0.01, 100.0))
 def test_effective_rds_on_monotone_in_delta(lo, gap, nominal):
-    r_lo = effective_rds_on(DeviceState(delta_r_fraction=lo), nominal)
-    r_hi = effective_rds_on(DeviceState(delta_r_fraction=lo + gap), nominal)
+    r_lo = DeviceState(rds_on_nominal=nominal, delta_r_fraction=lo).rds_on
+    r_hi = DeviceState(rds_on_nominal=nominal, delta_r_fraction=lo + gap).rds_on
     assert r_hi > r_lo
 
 
 @given(delta=st.floats(0.0, 5.0), nominal=st.floats(0.01, 100.0), scale=st.floats(0.1, 10.0))
 def test_effective_rds_on_linear_in_nominal(delta, nominal, scale):
-    state = DeviceState(delta_r_fraction=delta)
-    assert effective_rds_on(state, nominal * scale) == pytest.approx(
-        scale * effective_rds_on(state, nominal), rel=1e-12
+    scaled = DeviceState(rds_on_nominal=nominal * scale, delta_r_fraction=delta)
+    assert scaled.rds_on == pytest.approx(
+        scale * DeviceState(rds_on_nominal=nominal, delta_r_fraction=delta).rds_on, rel=1e-12
     )
 
 
@@ -118,6 +116,14 @@ def test_ratings_invariants_enforced():
         DeviceRatings(vgs_min=1.0)
     with pytest.raises(InvalidParameterError):
         DeviceRatings(rds_on_nominal=0.0)
+
+
+@pytest.mark.parametrize("field", ["vds_max_pulsed", "vds_max_continuous", "id_max", "vgs_max",
+                                   "vgs_min", "tj_min", "tj_max", "rds_on_nominal"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_ratings_reject_non_finite_values(field, value):
+    with pytest.raises(InvalidParameterError, match=field):
+        DeviceRatings(**{field: value})
 
 
 def test_state_invariants_enforced():
