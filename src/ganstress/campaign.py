@@ -6,11 +6,12 @@ the degraded on-resistance, its metrics are taken, and the on-resistance is
 extracted back from the averaged drain voltage. Fitting the extracted
 series against ln(t) reproduces the log-time analysis pipeline.
 
-Measurement: ``periodic_steady_state`` solves the fixed point of the
-one-period map (shooting) while conduction is continuous and the output
-stays on the clamp, and reduces one exact period. When the orbit leaves
-that topology (the current reaches zero, the output leaves the clamp) or
-the solved point does not reproduce itself, it falls back to marching
+Measurement: ``periodic_steady_state`` computes the periodic orbit in
+closed form while conduction is continuous and the output stays on the
+clamp (there every integrator step is affine in the inductor current), and
+takes the metrics of its one exact period. When the orbit leaves that
+topology (the current reaches zero, the output leaves the clamp) or the
+step is too stiff for the closed form, it falls back to marching
 ``sim.n_periods`` periods and averaging the part after
 ``sim.settle_fraction``; each fallback is recorded in the cell's
 ``quality_flags`` with the sample index, or "tuning", and the event.
@@ -53,8 +54,11 @@ DEFAULT_SCHEDULE_DECADES = 3.0
 
 #: Campaign drive defaults: fast PWM keeps the switch in continuous
 #: conduction so the clamp holds the drain at the stress level off-time.
-#: The off-phase current ripple grows with stress voltage; 5 MHz keeps the
-#: current continuous up to ~130 V stress with the default inductor.
+#: The current stays continuous while the drive target exceeds about half
+#: the off-phase ripple, which grows with stress voltage. With the default
+#: inductor, 5 MHz keeps a 0.4 A drive continuous up to ~190 V stress but a
+#: 0.25 A drive only up to ~118 V: the 120 V / 0.25 A cells are
+#: discontinuous, and their measurements fall back to marching.
 CAMPAIGN_DRIVE = DriveSignal(frequency=5e6, duty=0.7)
 #: Campaign resolution; ``n_periods`` and ``settle_fraction`` size only the
 #: march a measurement falls back to.
@@ -132,15 +136,10 @@ class CellResult:
 
 @dataclass
 class CampaignResult:
-    """Ordered per-cell results plus run metadata.
-
-    ``created_at`` is in-memory metadata only; emitted files are
-    byte-deterministic and carry the config hash, never wall-clock times.
-    """
+    """Ordered per-cell results plus the config hash of the run."""
 
     cells: list[CellResult]
     config_hash: str = ""
-    created_at: str = ""
 
 
 def cell_circuit(cell: StressCell, circuit: CircuitParams) -> CircuitParams:

@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 validation error, 3 numeric instability.
 
 from __future__ import annotations
 
-import datetime
 import sys
 from pathlib import Path
 
@@ -89,7 +88,6 @@ def campaign(config_path, out, overrides, seed):
         result = run_matrix(cfg.cells, cfg.circuit, cfg.drive, cfg.ratings,
                             cfg.degradation, cfg.sim)
         result.config_hash = config_hash(cfg)
-        result.created_at = datetime.datetime.now().isoformat()
         out_dir = _prepare_out(out)
         paths = emit_results(result, out_dir)
     except NumericInstabilityError as exc:

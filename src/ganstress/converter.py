@@ -30,25 +30,25 @@ plain per-step loop in the same order, so its records are bit-identical to
 that loop's. Without a load resistor the output update is exactly zero in
 the on-phase, and in an off-phase that starts with the output on the clamp
 (the spill rule zeroes it there), so those runs step the current alone:
-every campaign measurement keeps its output on the clamp for the whole
-period. ``v_ds`` is not stepped: it is computed after stepping, in one
-numpy pass over the finished current, voltage and gate records. A step
-depends only on the state ``(i, v)`` and its phase within the period, so
-once a period starts in a state bitwise equal to the previous period's
-start, every later period repeats that one and the loop copies it instead
-of stepping it (a default ``simulate`` run in discontinuous conduction
-repeats from its second period on). This one loop serves both entry
-points:
+once an unloaded march reaches the clamp, its output stays there.
+``v_ds`` is not stepped: it is computed after stepping, in one numpy pass
+over the finished current, voltage and gate records. A step depends only
+on the state ``(i, v)`` and its phase within the period, so once a period
+starts in a state bitwise equal to the previous period's start, every
+later period repeats that one and the loop copies it instead of stepping
+it (a default ``simulate`` run in discontinuous conduction repeats from
+its second period on). The two entry points:
 
 - ``simulate`` marches ``n_periods`` periods from the quiescent point and
   returns the whole waveform; ``steady_state_metrics`` averages the part
   after ``settle_fraction``. The ``simulate`` command uses this pair.
-- ``periodic_steady_state`` is the campaign measurement. It solves the
-  clamped continuous-conduction periodic orbit by shooting on the period
-  map and reduces exactly one period of it, or falls back to the march
-  above when the orbit leaves that topology (see its docstring).
-  ``n_periods`` and ``settle_fraction`` apply only to ``simulate`` and that
-  fallback.
+- ``periodic_steady_state`` is the campaign measurement. With the output
+  on the clamp and the current continuous, every step is affine in the
+  current, so it computes the periodic orbit and the metrics of its one
+  period in closed form, stepping nothing. It falls back to the march
+  above when the orbit leaves that topology or the step is too stiff for
+  the closed form (see its docstring). ``n_periods`` and
+  ``settle_fraction`` apply only to ``simulate`` and that fallback.
 """
 
 from __future__ import annotations
@@ -69,9 +69,6 @@ from .errors import (
 )
 
 WAVEFORM_CSV_HEADER = "t_s,v_ds_V,i_l_A,v_out_V,gate_on"
-
-#: Largest accepted |i_end - i*| / i* of the period that verifies a solved fixed point.
-_FIXED_POINT_RTOL = 1e-9
 
 #: Bit layout of an integrator state ``(i, v)``, for the period-repeat check.
 _STATE_BITS = struct.Struct("dd")
@@ -456,9 +453,10 @@ def settle_start_index(sim: SimConfig) -> int:
 
 def _window_metrics(v_ds: np.ndarray, i_l: np.ndarray, on: np.ndarray) -> SteadyStateMetrics:
     i_avg = float(i_l[on].mean()) if on.any() else 0.0
+    v_max = float(v_ds.max())
     return SteadyStateMetrics(
-        v_max=float(v_ds.max()),
-        v_in_avg=float(v_ds.mean()),
+        v_max=v_max,
+        v_in_avg=min(float(v_ds.mean()), v_max),  # the summed mean of a flat drain can round above it
         i_avg=i_avg,
         i_peak=float(i_l.max()),
     )
@@ -493,37 +491,79 @@ def steady_state_metrics(w: Waveform, sim: SimConfig, drive: DriveSignal) -> Ste
     return _window_metrics(w.v_ds[start:], w.i_l[start:], w.gate_on[start:])
 
 
-def _solve_period(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, spp: int,
-                  i_arr: np.ndarray, v_arr: np.ndarray, vds_arr: np.ndarray,
-                  gate_arr: np.ndarray) -> Optional[str]:
-    """Shoot for the clamped continuous-conduction periodic orbit.
+def _trapezoid_step(x: float, hg: float) -> tuple[float, float]:
+    """``(d, B)`` of one trapezoid step ``i -> (1 - d)*i + B`` on
+    ``di/dt = g - c*i`` with no clipping, where ``x = h*c`` and
+    ``hg = h*g``: ``A = 1 - d = 1 - x + x**2/2`` and ``B = h*g*(1 - x/2)``."""
+    half = 1.0 - 0.5 * x
+    return x * half, hg * half
 
-    Leaves the orbit's period in the record arrays and returns None, or
-    returns the event that rules the solution out.
+
+def _run_of_steps(d: float, b: float, n: int) -> tuple[float, float, float]:
+    """``(log(A**n), 1 - A**n, q)`` of ``n`` steps ``i -> (1 - d)*i + b``, which
+    map ``i`` to ``A**n * i + q``. ``1 - A**n`` comes from ``log1p`` and
+    ``expm1``: rounding ``A = 1 - d`` first loses about 4 digits of it at
+    the campaign's ``d`` of 1.6e-4."""
+    log_a = n * math.log1p(-d)
+    rise = -math.expm1(log_a)
+    return log_a, rise, (b * rise / d if d > 0.0 else n * b)
+
+
+def _solve_orbit(circuit: CircuitParams, drive: DriveSignal, device: DeviceState,
+                 spp: int) -> tuple[float, SteadyStateMetrics] | str:
+    """Closed-form clamped continuous-conduction periodic orbit.
+
+    Returns the orbit's period-start current ``i*`` and the metrics of its
+    ``spp`` half-open samples, or the event that rules the orbit out.
     """
-    clamp = circuit.clamp_voltage
+    if circuit.r_load is not None:
+        return "output leaves the clamp"
+    h = 1.0 / (drive.frequency * spp)
+    n_on = round(drive.duty * spp)
+    n_off = spp - n_on
+    vin, ell, rs, rds = circuit.vin, circuit.l_drain, circuit.series_r, device.rds_on
+    clamp, vf = circuit.clamp_voltage, circuit.diode_vf
+    x_on = h * (rs + rds) / ell
+    if not x_on < 1.0:  # the off-phase x = h*series_r/L is no larger
+        return "step too stiff for the closed form"
+    d_on, b_on = _trapezoid_step(x_on, h * vin / ell)
+    d_off, b_off = _trapezoid_step(h * rs / ell, h * (vin - vf - clamp) / ell)
+    log_on, rise_on, q_on = _run_of_steps(d_on, b_on, n_on)
+    log_off, _, q_off = _run_of_steps(d_off, b_off, n_off)
 
-    def period_end(i0: float) -> float:
-        _integrate(circuit, drive, device, spp, i0, clamp, i_arr, v_arr, vds_arr, gate_arr)
-        return float(i_arr[-1])
-
-    p1 = circuit.vin / (circuit.series_r + device.rds_on)
-    p2 = 2.0 * p1
-    e1 = period_end(p1)
-    a = (period_end(p2) - e1) / (p2 - p1)
-    if not a < 1.0:
+    # Period map i -> a*i + b, on-phase then off-phase; i* = b / (1 - a).
+    log_a = log_on + log_off
+    i_star = (math.exp(log_off) * q_on + q_off) / -math.expm1(log_a) if log_a < 0.0 else math.inf
+    if not math.isfinite(i_star):
         return "period map does not contract"
-    i_star = (e1 - a * p1) / (1.0 - a)
+    # A > 0, so each phase runs monotonically between its end values, i*
+    # and the first off sample i_mid > 0: every sample is positive with i*.
     if not i_star > 0.0:
         return "current reaches zero"
-    i_end = period_end(i_star)
-    if (i_arr == 0.0).any():
-        return "current reaches zero"
-    if (v_arr != clamp).any():
-        return "output leaves the clamp"
-    if abs(i_end - i_star) > _FIXED_POINT_RTOL * i_star:
-        return "period does not close on the fixed point"
-    return None
+    i_mid = math.exp(log_on) * i_star + q_on
+    if n_off:
+        # A predictor is increasing in i (x < 1): a falling off-phase puts its
+        # smallest one on the last step, and the kernel would clip it at 0.
+        i_last = (i_star - b_off) / (1.0 - d_off)
+        if not i_last + h * ((vin - i_last * rs - vf - clamp) / ell) > 0.0:
+            return "current reaches zero"
+
+    # The on-phase currents i_k = F + (i* - F)*A**k, about the fixed point
+    # F = vin/(series_r + rds), sum to i*·S + F·(n_on - S), S = sum of A**k.
+    f_on = vin / (rs + rds)
+    s_on = rise_on / d_on if n_on else 0.0
+    i_sum = i_star * s_on + f_on * (n_on - s_on)
+    v_off = clamp + vf
+    # A falling on-phase peaks at its first sample. A rising one stays below
+    # F, so rds*i < vin - series_r*i, and the off-phase then falls, so
+    # vin - series_r*i < clamp + vf: its drain stays below the off-phase's.
+    v_max = max(([rds * i_star] if n_on else []) + ([v_off] if n_off else []))
+    return i_star, SteadyStateMetrics(
+        v_max=v_max,
+        v_in_avg=min((rds * i_sum + n_off * v_off) / spp, v_max),
+        i_avg=i_sum / n_on if n_on else 0.0,
+        i_peak=max(i_star, i_mid),
+    )
 
 
 def periodic_steady_state(circuit: CircuitParams, drive: DriveSignal, device: DeviceState,
@@ -531,31 +571,31 @@ def periodic_steady_state(circuit: CircuitParams, drive: DriveSignal, device: De
     """Steady-state metrics of the periodic orbit with the output on the clamp.
 
     Returns ``(metrics, fallback)``. While the inductor current stays
-    positive and the output stays pinned at the clamp, every trapezoid
-    step is affine in the current, so the one-period map is
-    ``i -> a*i + b``. Two probe periods from currents above the valley
-    (``vin / (series_r + rds_on)``, which bounds the on-phase current of
-    any such orbit, and twice that) give ``a`` and ``b``; the fixed point
-    ``i* = b / (1 - a)`` is then stepped for one verifying period, and its
-    ``steps_per_period`` samples (half-open: no closing sample) are reduced
-    to the metrics. ``fallback`` is None in that case. This is shooting on
-    the period map (Aprille & Trick, Proc. IEEE 1972).
+    positive and the output stays pinned at the clamp, one trapezoid step
+    is ``i -> A*i + B`` with ``A = 1 - x + x**2/2`` and
+    ``B = h*g*(1 - x/2)``, where ``x = h*c`` and ``di/dt = g - c*i`` is the
+    phase's inductor equation: ``c = (series_r + rds_on)/L``, ``g = vin/L``
+    in the on-phase and ``c = series_r/L``, ``g = (vin - vf - clamp)/L`` in
+    the off-phase. The period map, its fixed point ``i*`` and the sums over
+    the orbit's ``steps_per_period`` half-open samples (no closing sample)
+    are then geometric, and the metrics are computed in closed form,
+    without stepping: the piecewise-linear treatment of Maksimovic et al.,
+    Proc. IEEE 89(6), 2001. ``fallback`` is None in that case.
 
-    When the map does not contract (``a >= 1``), when ``i* <= 0``, when the
-    verifying period leaves the topology (a current sample at zero, or the
-    output off the clamp), or when it does not end within 1e-9 of ``i*``,
-    the result is instead ``steady_state_metrics(simulate(...))`` under
-    ``sim``, and ``fallback`` names the event that forced it.
-    ``sim.n_periods`` and ``sim.settle_fraction`` matter only on that path.
-    NumericInstabilityError propagates from either path.
+    The orbit is ruled out, in this order, by a load resistor (the output
+    leaves the clamp), an on-phase ``x >= 1`` (the step too stiff for the
+    closed form), a period map that does not contract (or a fixed point
+    that overflows), or a current that reaches zero: ``i* <= 0``, or a
+    last off-step predictor ``<= 0``, which the kernel would clip. The
+    result is then ``steady_state_metrics(simulate(...))`` under ``sim``,
+    and ``fallback`` names the event. ``sim.n_periods`` and
+    ``sim.settle_fraction`` matter only on that path, which raises
+    NumericInstabilityError on a blow-up.
     """
-    spp = sim.steps_per_period
-    i_arr, v_arr, vds_arr = np.empty(spp + 1), np.empty(spp + 1), np.empty(spp + 1)
-    gate_arr = np.empty(spp + 1, dtype=bool)
-    fallback = _solve_period(circuit, drive, device, spp, i_arr, v_arr, vds_arr, gate_arr)
-    if fallback is not None:
-        return steady_state_metrics(simulate(circuit, drive, device, sim), sim, drive), fallback
-    return _window_metrics(vds_arr[:spp], i_arr[:spp], gate_arr[:spp]), None
+    solved = _solve_orbit(circuit, drive, device, sim.steps_per_period)
+    if isinstance(solved, str):
+        return steady_state_metrics(simulate(circuit, drive, device, sim), sim, drive), solved
+    return solved[1], None
 
 
 def _distinct_reprs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

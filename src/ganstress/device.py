@@ -79,10 +79,10 @@ class DeviceState:
             raise InvalidParameterError(
                 f"rds_on_nominal must be positive and finite, got {self.rds_on_nominal}"
             )
-        if self.delta_r_fraction < 0.0:
-            raise InvalidParameterError(f"delta_r_fraction must be >= 0, got {self.delta_r_fraction}")
-        if self.stress_time < 0.0:
-            raise InvalidParameterError(f"stress_time must be >= 0, got {self.stress_time}")
+        for name in ("delta_r_fraction", "stress_time"):
+            value = getattr(self, name)
+            if not (value >= 0.0 and math.isfinite(value)):
+                raise InvalidParameterError(f"{name} must be >= 0 and finite, got {value}")
 
     @property
     def rds_on(self) -> float:

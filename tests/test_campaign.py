@@ -21,7 +21,7 @@ from ganstress import (
     steady_state_metrics,
     stress_slope,
 )
-from ganstress import campaign
+from ganstress import campaign, converter
 from ganstress.campaign import (
     CAMPAIGN_DRIVE,
     CAMPAIGN_SIM,
@@ -29,6 +29,7 @@ from ganstress.campaign import (
     default_sample_times,
     tune_vin,
 )
+from ganstress.config import parse_config
 from ganstress.errors import InvalidParameterError
 
 CIRCUIT = CircuitParams()
@@ -163,6 +164,26 @@ def count_measurements(monkeypatch) -> list:
 
     monkeypatch.setattr(campaign, "periodic_steady_state", counting)
     return calls
+
+
+def test_default_matrix_steps_nothing(monkeypatch):
+    """Every measurement of the default matrix is solved in closed form, so
+    the step loop never runs."""
+    measurements = count_measurements(monkeypatch)
+    steps = []
+    real_integrate = converter._integrate
+
+    def counting_integrate(*args):
+        steps.append(args)
+        real_integrate(*args)
+
+    monkeypatch.setattr(converter, "_integrate", counting_integrate)
+    cfg = parse_config("", "campaign")
+    result = run_matrix(cfg.cells, cfg.circuit, cfg.drive, cfg.ratings, cfg.degradation, cfg.sim)
+    assert all(len(c.samples) == 61 and not c.quality_flags for c in result.cells)
+    assert len(measurements) >= 3 * 61
+    assert all(fallback is None for _, fallback in measurements)
+    assert steps == []
 
 
 def test_tune_vin_returns_first_guess_after_one_measurement(monkeypatch):

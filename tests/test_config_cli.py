@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 
-from ganstress import EPC2038, CircuitParams, DegradationParams
+from ganstress import EPC2038, CircuitParams, DegradationParams, config
 from ganstress.campaign import CAMPAIGN_DRIVE, CAMPAIGN_SIM, CampaignResult, StressCell, run_matrix
 from ganstress.cli import cli
 from ganstress.config import (
@@ -289,3 +290,54 @@ def test_cli_campaign_small_run(tmp_path):
     fields = summary[1].split(",")
     assert fields[0] == "cell00"
     assert float(fields[1]) == 60.0
+
+
+def wide_grid_config() -> str:
+    """The 144-cell grid of the wide benchmark workload: every stress level,
+    drive, temperature and duration, each with five log-spaced samples."""
+    cells = [{"v_stress": v, "i_drive": i, "temp_c": t, "duration_min": d,
+              "sample_times_min": [float(f"{d * 10.0 ** e:.4g}") for e in np.linspace(-3.0, 0.0, 5)]}
+             for v in (60.0, 80.0, 100.0, 120.0) for i in (0.25, 0.35, 0.45)
+             for t in (25.0, 50.0, 75.0, 100.0, 125.0, 150.0) for d in (300.0, 3000.0)]
+    return yaml.safe_dump({"cells": cells}, sort_keys=True)
+
+
+@pytest.mark.parametrize("text", ["", wide_grid_config()], ids=["default", "wide-grid"])
+def test_yaml_loader_and_dumper_match_the_python_safe_ones(text):
+    """The config loader reads the same document as yaml.SafeLoader, and the
+    echo is byte-identical to yaml.SafeDumper's text."""
+    assert yaml.load(text, Loader=config._YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+    for mode in ("campaign", "simulate"):
+        echoed = emit_config(parse_config(text, mode))
+        doc = yaml.load(echoed, Loader=yaml.SafeLoader)
+        assert echoed == yaml.dump(doc, Dumper=yaml.SafeDumper, sort_keys=True,
+                                   default_flow_style=False)
+
+
+@pytest.mark.parametrize("text", ["circuit: [1, 2", "circuit: {vin: 1", "circuit:\n\tvin: 1",
+                                  "a: b: c", "- x\ny: 1"])
+def test_malformed_document_is_a_configuration_error(text):
+    with pytest.raises(ConfigurationError, match="malformed config document"):
+        parse_config(text, "simulate")
+    with pytest.raises(ConfigurationError, match="malformed config document"):
+        apply_overrides(text, ["circuit.vin=5"])
+
+
+def test_cli_malformed_config_exit_2(tmp_path):
+    config_path = tmp_path / "c.yaml"
+    config_path.write_text("circuit: {vin: 1\n")
+    result = CliRunner().invoke(cli, ["campaign", "--config", str(config_path),
+                                      "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "malformed config document" in result.output
+
+
+def test_cli_malformed_override_value_exit_2(tmp_path):
+    result = CliRunner().invoke(cli, ["simulate", "--out", str(tmp_path), "--set", "circuit.vin=["])
+    assert result.exit_code == 2
+    assert "malformed override value in 'circuit.vin=['" in result.output
+
+
+def test_overrides_reject_a_non_mapping_root():
+    with pytest.raises(ConfigurationError, match="config root must be a mapping"):
+        apply_overrides("- 1\n- 2\n", ["circuit.vin=5"])

@@ -1,8 +1,9 @@
 import io
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ganstress import (
@@ -17,7 +18,14 @@ from ganstress import (
     simulate,
     steady_state_metrics,
 )
-from ganstress.converter import _CSV_CHUNK_ROWS, WAVEFORM_CSV_HEADER, _integrate, write_waveform_csv
+from ganstress.converter import (
+    _CSV_CHUNK_ROWS,
+    WAVEFORM_CSV_HEADER,
+    _integrate,
+    _solve_orbit,
+    _window_metrics,
+    write_waveform_csv,
+)
 from ganstress.errors import (
     DomainDivisionError,
     InsufficientDataError,
@@ -100,6 +108,16 @@ def test_boost_ratio_monotone_in_duty():
     assert w3.v_out[start3:].mean() < w5.v_out[start5:].mean()
 
 
+def test_flat_drain_mean_does_not_round_above_its_peak():
+    """At duty 0 the drain is flat at vin; the float mean of 30 001 copies of
+    76.422 rounds above 76.422, which the metrics must not report."""
+    circuit = CircuitParams(vin=76.422)
+    drive = DriveSignal(duty=0.0)
+    sim = SimConfig()
+    m = steady_state_metrics(simulate(circuit, drive, DeviceState(), sim), sim, drive)
+    assert m.v_in_avg == m.v_max == 76.422
+
+
 def test_stress_circuit_drain_clamped_near_supply():
     # stress configuration: drain spikes flow into the 100 V supply
     circuit = CircuitParams()  # vin=10, L=10u, c_out=25p, v_supply=100, vf=0.5
@@ -167,6 +185,76 @@ def test_unsolvable_steady_state_falls_back_to_march(circuit, frequency, event):
     m, fallback = periodic_steady_state(circuit, drive, DeviceState(), sim)
     assert fallback == event
     assert m == steady_state_metrics(simulate(circuit, drive, DeviceState(), sim), sim, drive)
+
+
+def test_stiff_step_falls_back_to_march():
+    """An on-phase h*(series_r + rds_on)/L of 1 or more is outside the closed form."""
+    circuit = CircuitParams(vin=18.9, v_supply=59.0, l_drain=1.5e-9)  # h*rds_on/L = 1.1
+    drive = DriveSignal(frequency=5e6, duty=0.7)
+    sim = SimConfig(steps_per_period=400, n_periods=10)
+    m, fallback = periodic_steady_state(circuit, drive, DeviceState(), sim)
+    assert fallback == "step too stiff for the closed form"
+    assert m == steady_state_metrics(simulate(circuit, drive, DeviceState(), sim), sim, drive)
+
+
+def test_clipped_off_predictor_falls_back_to_march():
+    """Every sample of this circuit's affine orbit is positive (i* = 1.4 mA),
+    but the last off-step predictor is -1.8 mA, which the kernel clips, so
+    the step is not affine there."""
+    circuit = CircuitParams(vin=10.0, l_drain=8e-9, v_supply=9.1795, series_r=0.5)
+    drive = DriveSignal(frequency=5e6, duty=0.8)
+    device = DeviceState(rds_on_nominal=2.0)
+    sim = SimConfig(steps_per_period=100, n_periods=40)
+    m, fallback = periodic_steady_state(circuit, drive, device, sim)
+    assert fallback == "current reaches zero"
+    assert m == steady_state_metrics(simulate(circuit, drive, device, sim), sim, drive)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spp=st.sampled_from([100, 400]), duty=st.floats(0.3, 0.8), rds_on=st.floats(0.1, 10.0),
+       series_r=st.one_of(st.just(0.0), st.floats(0.1, 10.0)), stiffness=st.floats(1e-4, 0.9),
+       vin=st.floats(1.0, 100.0), valley=st.floats(0.05, 3.0))
+def test_closed_form_orbit_matches_stepped_period(spp, duty, rds_on, series_r, stiffness, vin, valley):
+    """From the closed-form i*, one period stepped by the kernel stays in
+    the clamped continuous-conduction topology, returns to i*, and its
+    half-open samples reduce to the closed-form metrics.
+
+    The circuit is built around an orbit: the period-start current is
+    ``valley`` times the on-phase limit ``vin / (series_r + rds_on)``
+    (above 1 the on-phase falls and the off-phase rises), and the clamp is
+    set so that the off-phase returns the on-phase end current to it.
+    ``stiffness`` is the on-phase ``h * (series_r + rds_on) / l_drain``.
+    """
+    frequency, vf = 5e6, 0.5
+    h = 1.0 / (frequency * spp)
+    l_drain = h * (series_r + rds_on) / stiffness
+    n_on = round(duty * spp)
+    n_off = spp - n_on
+    i_fix = vin / (series_r + rds_on)
+    i_valley = valley * i_fix
+    i_top = i_fix + (i_valley - i_fix) * (1.0 - stiffness + 0.5 * stiffness**2) ** n_on
+    if series_r == 0.0:
+        g_off = (i_valley - i_top) / (n_off * h)  # a linear ramp
+    else:
+        x_off = h * series_r / l_drain
+        a_off = (1.0 - x_off + 0.5 * x_off**2) ** n_off
+        g_off = (i_valley - i_top * a_off) / (1.0 - a_off) * series_r / l_drain
+    clamp = vin - vf - g_off * l_drain
+    assume(clamp >= 0.0)
+    circuit = CircuitParams(vin=vin, l_drain=l_drain, v_supply=clamp - vf, diode_vf=vf,
+                            series_r=series_r)
+    drive = DriveSignal(frequency=frequency, duty=duty)
+    device = DeviceState(rds_on_nominal=rds_on)
+    solved = _solve_orbit(circuit, drive, device, spp)
+    assume(not isinstance(solved, str))  # a predictor below zero on a steep ramp
+    i_star, metrics = solved
+
+    i_l, v_out, v_ds, gate_on = run_kernel(_integrate, circuit, drive, device, spp, 1, i_star,
+                                           circuit.clamp_voltage)
+    assert (i_l > 0.0).all() and (v_out == circuit.clamp_voltage).all()
+    assert i_l[-1] == pytest.approx(i_star, rel=1e-10)
+    stepped = _window_metrics(v_ds[:spp], i_l[:spp], gate_on[:spp])
+    assert astuple(metrics) == pytest.approx(astuple(stepped), rel=1e-10)
 
 
 def run_kernel(kernel, circuit, drive, device, spp, n_periods, i, v):
