@@ -150,17 +150,15 @@ def cell_circuit(cell: StressCell, circuit: CircuitParams) -> CircuitParams:
 
 def tune_vin(cell: StressCell, circuit: CircuitParams, drive: DriveSignal,
              device: DeviceState, sim: SimConfig,
-             tolerance: float = _TUNE_TOLERANCE,
-             max_iterations: int = _TUNE_MAX_ITERATIONS,
              flags: Optional[list[str]] = None) -> float:
     """Secant search for the input voltage that hits the cell's on-time
-    average current target within ``tolerance`` (relative).
+    average current target within ``_TUNE_TOLERANCE`` (relative).
 
     The averaged-voltage relation makes the current nearly linear in vin, so
     the search converges in a few measurements, and a first guess that
     already meets the target is returned after one. Measurements that fall
     back to marching are appended to ``flags`` when it is given. Raises if
-    the target is not met within ``max_iterations``.
+    the target is not met within ``_TUNE_MAX_ITERATIONS``.
     """
     target = cell.i_drive
 
@@ -172,12 +170,12 @@ def tune_vin(cell: StressCell, circuit: CircuitParams, drive: DriveSignal,
 
     x0 = cell.duty * target * device.rds_on + (1.0 - cell.duty) * cell.v_stress
     f0 = run(x0)
-    if abs(f0) <= tolerance * target:
+    if abs(f0) <= _TUNE_TOLERANCE * target:
         return x0
     x1 = 1.1 * x0
     f1 = run(x1)
-    for _ in range(max_iterations):
-        if abs(f1) <= tolerance * target:
+    for _ in range(_TUNE_MAX_ITERATIONS):
+        if abs(f1) <= _TUNE_TOLERANCE * target:
             return x1
         if f1 == f0:
             break
@@ -185,10 +183,10 @@ def tune_vin(cell: StressCell, circuit: CircuitParams, drive: DriveSignal,
         if x1 <= 0.0:
             x1 = 0.5 * x0
         f0, f1 = f1, run(x1)
-    if abs(f1) <= tolerance * target:
+    if abs(f1) <= _TUNE_TOLERANCE * target:
         return x1
     raise InvalidParameterError(
-        f"drive-current tuning did not reach {target} A within {max_iterations} iterations"
+        f"drive-current tuning did not reach {target} A within {_TUNE_MAX_ITERATIONS} iterations"
     )
 
 

@@ -3,9 +3,13 @@
 Component values may be written the way schematics label them (``10u``,
 ``100p``, ``25p``); plain YAML numbers work too. Temperatures are accepted
 in Celsius (``*_c`` keys) or kelvin (``*_k`` keys) and held internally in
-kelvin. Every omitted field falls back to the published defaults for the
-stress circuit: device ratings, circuit component values, degradation
-parameters, 0.7 duty, 0.4 A drive target.
+kelvin.
+
+The key table (``_SECTIONS`` and ``_CELL_KEYS``) is the one place a config
+key is defined: one row per dataclass field, giving its key, aliases and
+kind. ``parse_config`` and ``emit_config`` both walk it. An omitted key
+takes the default instance's value: the dataclass defaults (the campaign
+drive and sim in campaign mode), ``EPC2038`` for the device.
 
 Unknown keys and out-of-range values are hard errors; nothing is silently
 clamped.
@@ -15,15 +19,15 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, NamedTuple
 
 import yaml
 
 from .campaign import CAMPAIGN_DRIVE, CAMPAIGN_SIM, StressCell
 from .converter import CircuitParams, DriveSignal, SimConfig
 from .degradation import DegradationParams
-from .device import CELSIUS_OFFSET, DeviceRatings
+from .device import CELSIUS_OFFSET, EPC2038, DeviceRatings
 from .errors import ConfigurationError, GanStressError
 
 MODES = ("simulate", "campaign")
@@ -49,10 +53,57 @@ DEFAULT_CELLS = (
     dict(v_stress=110.0, temp_c=25.0),
 )
 
-#: Mode-specific drive/sim defaults. Campaign cells run fast PWM so the
-#: converter stays in continuous conduction (see campaign module).
-_DRIVE_DEFAULTS = {"campaign": CAMPAIGN_DRIVE, "default": DriveSignal()}
-_SIM_DEFAULTS = {"campaign": CAMPAIGN_SIM, "default": SimConfig()}
+# Kinds of value a key holds.
+_NUMBER, _INT, _OPTIONAL, _TEMPERATURE, _LIST = "number", "int", "optional", "temperature", "list"
+
+
+class _Key(NamedTuple):
+    """One row of the key table."""
+
+    field: str                  # dataclass field the key sets
+    kind: str
+    names: tuple[str, ...]      # spellings read: the key, then its aliases
+    echo: str                   # spelling emit_config writes
+
+
+def _key(key: str, kind: str = _NUMBER, field: str = "", aliases: tuple[str, ...] = ()) -> _Key:
+    """A table row. A temperature's ``key`` is the stem of its ``_c`` (Celsius)
+    and ``_k`` (kelvin) spellings; the echo writes kelvin, which round-trips."""
+    if kind == _TEMPERATURE:
+        return _Key(field or key, kind, (f"{key}_c", f"{key}_k"), f"{key}_k")
+    return _Key(field or key, kind, (key, *aliases), key)
+
+
+#: Section name -> (RunConfig attribute, one row per field of its dataclass).
+_SECTIONS = {
+    "circuit": ("circuit", (
+        _key("vin"), _key("l_drain"), _key("c_in"), _key("c_out"), _key("v_supply"),
+        _key("diode_vf"), _key("series_r"), _key("r_load", _OPTIONAL),
+    )),
+    "drive": ("drive", (_key("frequency"), _key("duty"), _key("v_gate_high"), _key("v_gate_low"))),
+    "sim": ("sim", (_key("steps_per_period", _INT), _key("n_periods", _INT), _key("settle_fraction"))),
+    "device": ("ratings", (
+        _key("vds_max_pulsed"), _key("vds_max_continuous"), _key("id_max"), _key("vgs_max"),
+        _key("vgs_min"), _key("tj_min", _TEMPERATURE), _key("tj_max", _TEMPERATURE),
+        _key("rds_on_nominal"),
+    )),
+    "degradation": ("degradation", (
+        _key("a"), _key("b"), _key("hbar_omega_lo_ev", field="hbar_omega_lo"), _key("v_fd"),
+        _key("alpha"), _key("t0_min", field="t0"), _key("vertical_offset"),
+    )),
+}
+#: Rows of one ``cells`` entry (a StressCell).
+_CELL_KEYS = (
+    _key("v_stress", aliases=("v_supply",)), _key("temp", _TEMPERATURE), _key("i_drive"),
+    _key("duty"), _key("duration_min", field="duration", aliases=("duration",)),
+    _key("sample_times_min", _LIST, field="sample_times"), _key("shape_factor"),
+)
+
+#: Default instance per section; campaign mode runs the campaign drive and sim.
+_DEFAULTS = {"circuit": CircuitParams(), "drive": DriveSignal(), "sim": SimConfig(),
+             "device": EPC2038, "degradation": DegradationParams()}
+_CAMPAIGN_DEFAULTS = {**_DEFAULTS, "drive": CAMPAIGN_DRIVE, "sim": CAMPAIGN_SIM}
+_DEFAULT_CELL = StressCell(v_stress=60.0, temp=298.15)
 
 
 def parse_quantity(value: Any, path: str) -> float:
@@ -67,13 +118,6 @@ def parse_quantity(value: Any, path: str) -> float:
             return float(m.group(1)) * _ENG_SUFFIXES.get(m.group(2) or "", 1.0)
         raise ConfigurationError(f"{path}: cannot parse number {value!r}")
     raise ConfigurationError(f"{path}: expected a number, got {type(value).__name__}")
-
-
-def _parse_int(value: Any, path: str) -> int:
-    x = parse_quantity(value, path)
-    if x != int(x):
-        raise ConfigurationError(f"{path}: expected an integer, got {value!r}")
-    return int(x)
 
 
 @dataclass
@@ -93,85 +137,64 @@ class RunConfig:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-class _Section:
-    """One config mapping with known-key bookkeeping."""
+def _read(key: _Key, name: str, value: Any, path: str) -> Any:
+    """The field value of one key's spelling ``name``."""
+    if key.kind == _INT:
+        x = parse_quantity(value, path)
+        if x != int(x):
+            raise ConfigurationError(f"{path}: expected an integer, got {value!r}")
+        return int(x)
+    if key.kind == _OPTIONAL and value is None:
+        return None
+    if key.kind == _LIST:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{path}: expected a list")
+        return tuple(parse_quantity(v, f"{path}[{i}]") for i, v in enumerate(value))
+    x = parse_quantity(value, path)
+    if key.kind == _TEMPERATURE and name == key.names[0]:   # the Celsius spelling
+        return x + CELSIUS_OFFSET
+    return x
 
-    def __init__(self, name: str, data: Any):
-        if data is None:
-            data = {}
-        if not isinstance(data, dict):
-            raise ConfigurationError(f"{name}: expected a mapping, got {type(data).__name__}")
-        self.name = name
-        self.data = dict(data)
-        self.seen: set[str] = set()
 
-    def number(self, key: str, default: float, aliases: tuple[str, ...] = ()) -> float:
-        for k in (key, *aliases):
-            if k in self.data:
-                self.seen.add(k)
-                return parse_quantity(self.data[k], f"{self.name}.{k}")
+def _parse_section(section: str, data: Any, keys: tuple[_Key, ...], default: Any,
+                   unknown: list[str]) -> Any:
+    """The default instance with the keys ``data`` gives; keys the table
+    does not read are appended to ``unknown``."""
+    if data is None:
         return default
-
-    def integer(self, key: str, default: int) -> int:
-        if key in self.data:
-            self.seen.add(key)
-            return _parse_int(self.data[key], f"{self.name}.{key}")
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{section}: expected a mapping, got {type(data).__name__}")
+    if not data:
         return default
-
-    def optional_number(self, key: str, default: Optional[float]) -> Optional[float]:
-        if key in self.data:
-            self.seen.add(key)
-            if self.data[key] is None:
-                return None
-            return parse_quantity(self.data[key], f"{self.name}.{key}")
-        return default
-
-    def temperature(self, stem: str, default_k: float) -> float:
-        """Accept ``<stem>_c`` (Celsius) or ``<stem>_k`` (kelvin)."""
-        has_c = f"{stem}_c" in self.data
-        has_k = f"{stem}_k" in self.data
-        if has_c and has_k:
-            raise ConfigurationError(f"{self.name}: give only one of {stem}_c / {stem}_k")
-        if has_c:
-            self.seen.add(f"{stem}_c")
-            return parse_quantity(self.data[f"{stem}_c"], f"{self.name}.{stem}_c") + CELSIUS_OFFSET
-        if has_k:
-            self.seen.add(f"{stem}_k")
-            return parse_quantity(self.data[f"{stem}_k"], f"{self.name}.{stem}_k")
-        return default_k
-
-    def number_list(self, key: str) -> Optional[list[float]]:
-        if key not in self.data:
-            return None
-        self.seen.add(key)
-        raw = self.data[key]
-        if not isinstance(raw, list):
-            raise ConfigurationError(f"{self.name}.{key}: expected a list")
-        return [parse_quantity(v, f"{self.name}.{key}[{i}]") for i, v in enumerate(raw)]
-
-    def unknown(self) -> list[str]:
-        return [f"{self.name}.{k}" for k in self.data if k not in self.seen]
-
-
-def _build(section: _Section, cls, **kwargs):
+    given = {}
+    seen = set()
+    for key in keys:
+        present = [n for n in key.names if n in data]
+        if not present:
+            continue
+        if key.kind == _TEMPERATURE and len(present) > 1:
+            raise ConfigurationError(f"{section}: give only one of {present[0]} / {present[1]}")
+        name = present[0]
+        seen.add(name)
+        given[key.field] = _read(key, name, data[name], f"{section}.{name}")
+    unknown.extend(f"{section}.{k}" for k in data if k not in seen)
     try:
-        return cls(**kwargs)
+        return replace(default, **given)
     except GanStressError as exc:
-        raise ConfigurationError(f"{section.name}: {exc}") from exc
+        raise ConfigurationError(f"{section}: {exc}") from exc
 
 
-def _parse_cell(sec: _Section) -> StressCell:
-    times = sec.number_list("sample_times_min")
-    return _build(
-        sec, StressCell,
-        v_stress=sec.number("v_stress", 60.0, aliases=("v_supply",)),
-        temp=sec.temperature("temp", 298.15),
-        i_drive=sec.number("i_drive", 0.4),
-        duty=sec.number("duty", 0.7),
-        duration=sec.number("duration_min", 1000.0, aliases=("duration",)),
-        sample_times=tuple(times) if times is not None else None,
-        shape_factor=sec.number("shape_factor", 1.0),
-    )
+def _echo(obj: Any, keys: tuple[_Key, ...]) -> dict[str, Any]:
+    """Every field of ``obj`` under its echo key; an absent list is left out."""
+    doc = {}
+    for key in keys:
+        value = getattr(obj, key.field)
+        if key.kind == _LIST:
+            if value is not None:
+                doc[key.echo] = list(value)
+        else:
+            doc[key.echo] = value
+    return doc
 
 
 def _load_yaml(text: str, what: str) -> Any:
@@ -194,85 +217,22 @@ def parse_config(text: str, mode: str) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigurationError(f"config root must be a mapping, got {type(doc).__name__}")
 
-    known_sections = {"circuit", "drive", "sim", "device", "degradation", "cells"}
-    unknown = [k for k in doc if k not in known_sections]
+    unknown = [str(k) for k in doc if k not in _SECTIONS and k != "cells"]
+    defaults = _CAMPAIGN_DEFAULTS if mode == "campaign" else _DEFAULTS
+    sections = {attr: _parse_section(name, doc.get(name), keys, defaults[name], unknown)
+                for name, (attr, keys) in _SECTIONS.items()}
 
-    circ = _Section("circuit", doc.get("circuit"))
-    circuit = _build(
-        circ, CircuitParams,
-        vin=circ.number("vin", 10.0),
-        l_drain=circ.number("l_drain", 10e-6),
-        c_in=circ.number("c_in", 100e-12),
-        c_out=circ.number("c_out", 25e-12),
-        v_supply=circ.number("v_supply", 100.0),
-        diode_vf=circ.number("diode_vf", 0.5),
-        series_r=circ.number("series_r", 0.0),
-        r_load=circ.optional_number("r_load", None),
-    )
-
-    drv_defaults = _DRIVE_DEFAULTS["campaign" if mode == "campaign" else "default"]
-    drv = _Section("drive", doc.get("drive"))
-    drive = _build(
-        drv, DriveSignal,
-        frequency=drv.number("frequency", drv_defaults.frequency),
-        duty=drv.number("duty", drv_defaults.duty),
-        v_gate_high=drv.number("v_gate_high", drv_defaults.v_gate_high),
-        v_gate_low=drv.number("v_gate_low", drv_defaults.v_gate_low),
-    )
-
-    sim_defaults = _SIM_DEFAULTS["campaign" if mode == "campaign" else "default"]
-    simsec = _Section("sim", doc.get("sim"))
-    sim = _build(
-        simsec, SimConfig,
-        steps_per_period=simsec.integer("steps_per_period", sim_defaults.steps_per_period),
-        n_periods=simsec.integer("n_periods", sim_defaults.n_periods),
-        settle_fraction=simsec.number("settle_fraction", sim_defaults.settle_fraction),
-    )
-
-    dev = _Section("device", doc.get("device"))
-    ratings = _build(
-        dev, DeviceRatings,
-        vds_max_pulsed=dev.number("vds_max_pulsed", 120.0),
-        vds_max_continuous=dev.number("vds_max_continuous", 100.0),
-        id_max=dev.number("id_max", 0.5),
-        vgs_max=dev.number("vgs_max", 6.0),
-        vgs_min=dev.number("vgs_min", -5.0),
-        tj_min=dev.temperature("tj_min", -40.0 + CELSIUS_OFFSET),
-        tj_max=dev.temperature("tj_max", 150.0 + CELSIUS_OFFSET),
-        rds_on_nominal=dev.number("rds_on_nominal", 3.3),
-    )
-
-    deg = _Section("degradation", doc.get("degradation"))
-    degradation = _build(
-        deg, DegradationParams,
-        a=deg.number("a", 0.0),
-        b=deg.number("b", 2.0e-5),
-        hbar_omega_lo=deg.number("hbar_omega_lo_ev", 0.092),
-        v_fd=deg.number("v_fd", 100.0),
-        alpha=deg.number("alpha", 10.0),
-        t0=deg.number("t0_min", 1.0),
-        vertical_offset=deg.number("vertical_offset", 0.0),
-    )
-
-    cells_doc = doc.get("cells", [dict(c) for c in DEFAULT_CELLS])
+    cells_doc = doc.get("cells", list(DEFAULT_CELLS))
     if cells_doc is None:
         cells_doc = []
     if not isinstance(cells_doc, list):
         raise ConfigurationError("cells: expected a list of cell mappings")
-    cells = []
-    cell_sections = []
-    for idx, cdoc in enumerate(cells_doc):
-        sec = _Section(f"cells[{idx}]", cdoc)
-        cells.append(_parse_cell(sec))
-        cell_sections.append(sec)
+    cells = [_parse_section(f"cells[{i}]", c, _CELL_KEYS, _DEFAULT_CELL, unknown)
+             for i, c in enumerate(cells_doc)]
 
-    for sec in (circ, drv, simsec, dev, deg, *cell_sections):
-        unknown.extend(sec.unknown())
     if unknown:
         raise ConfigurationError("unknown config keys: " + ", ".join(sorted(unknown)))
-
-    return RunConfig(mode=mode, circuit=circuit, drive=drive, sim=sim,
-                     ratings=ratings, degradation=degradation, cells=cells)
+    return RunConfig(mode=mode, cells=cells, **sections)
 
 
 def apply_overrides(text: str, overrides: list[str]) -> str:
@@ -311,60 +271,9 @@ def emit_config(cfg: RunConfig) -> str:
 
     Temperatures are emitted in kelvin so the echo round-trips bit-exactly.
     """
-    doc: dict[str, Any] = {
-        "circuit": {
-            "vin": cfg.circuit.vin,
-            "l_drain": cfg.circuit.l_drain,
-            "c_in": cfg.circuit.c_in,
-            "c_out": cfg.circuit.c_out,
-            "v_supply": cfg.circuit.v_supply,
-            "diode_vf": cfg.circuit.diode_vf,
-            "series_r": cfg.circuit.series_r,
-            "r_load": cfg.circuit.r_load,
-        },
-        "drive": {
-            "frequency": cfg.drive.frequency,
-            "duty": cfg.drive.duty,
-            "v_gate_high": cfg.drive.v_gate_high,
-            "v_gate_low": cfg.drive.v_gate_low,
-        },
-        "sim": {
-            "steps_per_period": cfg.sim.steps_per_period,
-            "n_periods": cfg.sim.n_periods,
-            "settle_fraction": cfg.sim.settle_fraction,
-        },
-        "device": {
-            "vds_max_pulsed": cfg.ratings.vds_max_pulsed,
-            "vds_max_continuous": cfg.ratings.vds_max_continuous,
-            "id_max": cfg.ratings.id_max,
-            "vgs_max": cfg.ratings.vgs_max,
-            "vgs_min": cfg.ratings.vgs_min,
-            "tj_min_k": cfg.ratings.tj_min,
-            "tj_max_k": cfg.ratings.tj_max,
-            "rds_on_nominal": cfg.ratings.rds_on_nominal,
-        },
-        "degradation": {
-            "a": cfg.degradation.a,
-            "b": cfg.degradation.b,
-            "hbar_omega_lo_ev": cfg.degradation.hbar_omega_lo,
-            "v_fd": cfg.degradation.v_fd,
-            "alpha": cfg.degradation.alpha,
-            "t0_min": cfg.degradation.t0,
-            "vertical_offset": cfg.degradation.vertical_offset,
-        },
-        "cells": [
-            {
-                "v_stress": c.v_stress,
-                "temp_k": c.temp,
-                "i_drive": c.i_drive,
-                "duty": c.duty,
-                "duration_min": c.duration,
-                **({"sample_times_min": list(c.sample_times)} if c.sample_times is not None else {}),
-                "shape_factor": c.shape_factor,
-            }
-            for c in cfg.cells
-        ],
-    }
+    doc: dict[str, Any] = {name: _echo(getattr(cfg, attr), keys)
+                           for name, (attr, keys) in _SECTIONS.items()}
+    doc["cells"] = [_echo(c, _CELL_KEYS) for c in cfg.cells]
     return yaml.dump(doc, Dumper=_YAML_DUMPER, sort_keys=True, default_flow_style=False)
 
 

@@ -47,7 +47,6 @@ class DegradationParams:
     v_fd: float = 100.0             # full-depletion voltage, V
     alpha: float = 10.0             # exponential knee width, V
     t0: float = 1.0                 # log-law reference time, min
-    k_boltzmann: float = K_BOLTZMANN_EV
     vertical_offset: float = 0.0    # additive offset on delta_R/R (frequency/current effects)
 
     def __post_init__(self):
@@ -59,8 +58,6 @@ class DegradationParams:
             raise InvalidParameterError(f"hbar_omega_lo must be > 0, got {self.hbar_omega_lo}")
         if not self.t0 > 0.0:
             raise InvalidParameterError(f"t0 must be > 0, got {self.t0}")
-        if not self.k_boltzmann > 0.0:
-            raise InvalidParameterError(f"k_boltzmann must be > 0, got {self.k_boltzmann}")
 
 
 def _softplus(x: float) -> float:
@@ -76,7 +73,7 @@ def stress_slope(params: DegradationParams, v_ds: float, temp: float) -> float:
     if not math.isfinite(v_ds):
         raise InvalidParameterError(f"v_ds must be finite, got {v_ds}")
     gate = _softplus((v_ds - params.v_fd) / params.alpha)
-    thermal = math.sqrt(temp) * math.exp(params.hbar_omega_lo / (params.k_boltzmann * temp))
+    thermal = math.sqrt(temp) * math.exp(params.hbar_omega_lo / (K_BOLTZMANN_EV * temp))
     return params.a + params.b * gate * thermal
 
 

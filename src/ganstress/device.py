@@ -70,7 +70,7 @@ class DeviceState:
     minutes under the current stress condition.
     """
 
-    rds_on_nominal: float = 3.3
+    rds_on_nominal: float = DeviceRatings.rds_on_nominal
     delta_r_fraction: float = 0.0
     stress_time: float = 0.0
 

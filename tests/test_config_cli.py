@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from ganstress import EPC2038, CircuitParams, DegradationParams, config
+from ganstress import EPC2038, CircuitParams, DegradationParams, DriveSignal, SimConfig, config
 from ganstress.campaign import CAMPAIGN_DRIVE, CAMPAIGN_SIM, CampaignResult, StressCell, run_matrix
 from ganstress.cli import cli
 from ganstress.config import (
@@ -18,20 +20,15 @@ from ganstress.results import emit_results
 
 
 def test_empty_document_resolves_to_defaults():
-    cfg = parse_config("", "simulate")
-    assert cfg.circuit.vin == 10.0
-    assert cfg.circuit.l_drain == pytest.approx(10e-6)
-    assert cfg.circuit.c_in == pytest.approx(100e-12)
-    assert cfg.circuit.c_out == pytest.approx(25e-12)
-    assert cfg.circuit.v_supply == 100.0
-    assert cfg.drive.duty == 0.7
-    assert cfg.ratings.rds_on_nominal == 3.3
-    assert cfg.ratings.vds_max_pulsed == 120.0
-    assert cfg.degradation.b == 2.0e-5
-    assert cfg.degradation.hbar_omega_lo == 0.092
-    assert len(cfg.cells) == 3
-    assert [c.v_stress for c in cfg.cells] == [60.0, 85.0, 110.0]
-    assert all(c.i_drive == 0.4 for c in cfg.cells)
+    for mode, drive, sim in (("simulate", DriveSignal(), SimConfig()),
+                             ("campaign", CAMPAIGN_DRIVE, CAMPAIGN_SIM)):
+        cfg = parse_config("", mode)
+        assert cfg.circuit == CircuitParams()
+        assert cfg.drive == drive
+        assert cfg.sim == sim
+        assert cfg.ratings == EPC2038
+        assert cfg.degradation == DegradationParams()
+        assert cfg.cells == [StressCell(v, 298.15) for v in (60.0, 85.0, 110.0)]
 
 
 def test_engineering_suffixes():
@@ -121,9 +118,47 @@ def test_config_echo_round_trips_every_field():
 
 
 def test_default_config_round_trips():
-    for mode in ("simulate", "campaign"):
+    for mode, digest in (("simulate", "17b740d86fe6e816"), ("campaign", "e8aac365b8fb0f1a")):
         cfg = parse_config("", mode)
         assert parse_config(emit_config(cfg), mode) == cfg
+        assert config_hash(cfg) == digest
+
+
+def test_config_table_covers_every_dataclass_field():
+    """Each section's table sets every field of its dataclass, in field
+    order, so a new field cannot go unparsed or unechoed."""
+    for name, (_, keys) in config._SECTIONS.items():
+        cls = type(config._DEFAULTS[name])
+        assert [k.field for k in keys] == [f.name for f in dataclasses.fields(cls)], name
+    assert [k.field for k in config._CELL_KEYS] == [f.name for f in dataclasses.fields(StressCell)]
+
+
+REJECTIONS = [
+    ("sim: {n_periods: 2.5}", "sim.n_periods: expected an integer, got 2.5"),
+    ("sim: {steps_per_period: abc}", "sim.steps_per_period: cannot parse number 'abc'"),
+    ("cells: [{sample_times_min: 5}]", "cells[0].sample_times_min: expected a list"),
+    ("cells: [{sample_times_min: [1, x]}]", "cells[0].sample_times_min[1]: cannot parse number 'x'"),
+    ("circuit: 5", "circuit: expected a mapping, got int"),
+    ("cells: 5", "cells: expected a list of cell mappings"),
+    ("cells: [5]", "cells[0]: expected a mapping, got int"),
+    ("circuit: {vin: true}", "circuit.vin: expected a number, got boolean True"),
+    ("circuit: {l_drain: x, vin: true}", "circuit.vin: expected a number, got boolean True"),
+    ("cells: [{v_stress: 60, temp_c: 25, x: 1}]", "unknown config keys: cells[0].x"),
+    ("cells: [{v_stress: 60, v_supply: 70}]", "unknown config keys: cells[0].v_supply"),
+    ("1: 2\nbogus: 3", "unknown config keys: 1, bogus"),
+    ("device: {tj_min_c: 1, tj_min_k: 3}", "device: give only one of tj_min_c / tj_min_k"),
+    ("drive: {duty: 2}\ncircuit: {vin: -1}", "circuit: vin must be > 0, got -1.0"),
+    ("drive: {duty: 2}\nbogus: 1", "drive: duty must be in [0, 1], got 2.0"),
+]
+
+
+@pytest.mark.parametrize("text, message", REJECTIONS,
+                         ids=[text.replace("\n", "; ") for text, _ in REJECTIONS])
+def test_rejection_messages(text, message):
+    for mode in ("simulate", "campaign"):
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_config(text, mode)
+        assert str(excinfo.value) == message
 
 
 def test_overrides_apply_to_sections_and_cells():

@@ -11,6 +11,7 @@ from ganstress import (
     delta_r_fraction,
     stress_slope,
 )
+from ganstress.degradation import K_BOLTZMANN_EV
 from ganstress.errors import InvalidParameterError
 
 # Frozen by an independent high-precision scalar evaluation:
@@ -29,7 +30,7 @@ def test_default_parameter_values():
     assert DEFAULTS.v_fd == 100.0
     assert DEFAULTS.alpha == 10.0
     assert DEFAULTS.t0 == 1.0
-    assert DEFAULTS.k_boltzmann == 8.617e-5
+    assert K_BOLTZMANN_EV == 8.617e-5
     assert DEFAULTS.vertical_offset == 0.0
 
 
