@@ -24,6 +24,7 @@ from .errors import (
     DomainDivisionError,
     InsufficientDataError,
     InvalidParameterError,
+    require_finite,
 )
 
 RDS_CSV_HEADER = "t_min,rds_on_ohm"
@@ -68,10 +69,7 @@ class FitResult:
 def predict_avg_vin(i_on: float, rds_on: float, duty: float, v_max: float,
                     shape_factor: float = 2.0) -> float:
     """Forward model of the averaged drain voltage."""
-    for name, x in (("i_on", i_on), ("rds_on", rds_on), ("duty", duty),
-                    ("v_max", v_max), ("shape_factor", shape_factor)):
-        if not math.isfinite(x):
-            raise InvalidParameterError(f"{name} must be finite, got {x}")
+    require_finite(i_on=i_on, rds_on=rds_on, duty=duty, v_max=v_max, shape_factor=shape_factor)
     if not 0.0 <= duty <= 1.0:
         raise InvalidParameterError(f"duty must be in [0, 1], got {duty}")
     if not shape_factor > 0.0:
@@ -86,10 +84,8 @@ def extract_rds_on(v_in_avg: float, v_max: float, duty: float, i_avg: float,
     The result may be negative for mutually inconsistent inputs; it is
     returned as-is so the inconsistency stays visible (callers flag it).
     """
-    for name, x in (("v_in_avg", v_in_avg), ("v_max", v_max), ("duty", duty),
-                    ("i_avg", i_avg), ("shape_factor", shape_factor)):
-        if not math.isfinite(x):
-            raise InvalidParameterError(f"{name} must be finite, got {x}")
+    require_finite(v_in_avg=v_in_avg, v_max=v_max, duty=duty, i_avg=i_avg,
+                   shape_factor=shape_factor)
     if i_avg * duty == 0.0:
         raise DomainDivisionError("extraction diverges at i_avg * duty = 0")
     if not 0.0 < duty <= 1.0:

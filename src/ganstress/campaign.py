@@ -45,7 +45,7 @@ from .converter import (
 )
 from .degradation import DegradationParams, apply_stress_step
 from .device import DeviceRatings, DeviceState, SoaViolation, check_soa
-from .errors import GanStressError, InvalidParameterError, NumericInstabilityError
+from .errors import GanStressError, InvalidParameterError, require_finite
 
 #: Default sampling density for the log-spaced measurement schedule.
 SAMPLES_PER_DECADE = 20
@@ -89,6 +89,8 @@ class StressCell:
     shape_factor: float = 1.0       # extraction shape factor for the clamp-held waveform
 
     def __post_init__(self):
+        require_finite(v_stress=self.v_stress, temp=self.temp, i_drive=self.i_drive,
+                       duty=self.duty, duration=self.duration, shape_factor=self.shape_factor)
         if not self.duration > 0.0:
             raise InvalidParameterError(f"duration must be > 0 min, got {self.duration}")
         if not 0.0 < self.duty < 1.0:
@@ -105,6 +107,7 @@ class StressCell:
             ts = tuple(float(t) for t in self.sample_times)
             if not ts:
                 raise InvalidParameterError("sample_times must be non-empty when given")
+            require_finite(**{f"sample_times[{i}]": t for i, t in enumerate(ts)})
             if any(b <= a for a, b in zip(ts, ts[1:])):
                 raise InvalidParameterError("sample_times must be strictly increasing")
             if ts[0] <= 0.0 or ts[-1] > self.duration:
@@ -197,53 +200,49 @@ def run_cell(cell: StressCell, circuit: CircuitParams, drive: DriveSignal,
 
     Degradation is evaluated at the cell's stress level (the clamp pins the
     measured v_max there). SOA violations are recorded per sample and the
-    run continues; a numeric instability aborts the cell but keeps the
-    samples already taken. Deterministic for identical inputs.
+    run continues. Any workbench error aborts the cell: ``abort_reason``
+    names the stage ("circuit set-up", "drive tuning" or "sample N (t = T
+    min)"), and the samples, flags and SOA records taken before it are kept,
+    the samples fitted if there are two. Deterministic for identical inputs.
     """
-    circ = cell_circuit(cell, circuit)
-    drv = replace(drive, duty=cell.duty)
-    state = DeviceState(rds_on_nominal=ratings.rds_on_nominal)
     flags: list[str] = []
-    try:
-        vin = tune_vin(cell, circ, drv, state, sim, flags=flags)
-    except (NumericInstabilityError, InvalidParameterError) as exc:
-        return CellResult(cell=cell, samples=[], v_max_measured=0.0,
-                          vin_tuned=float("nan"), fit=None, soa_violations=[],
-                          quality_flags=flags, aborted=True,
-                          abort_reason=f"drive tuning: {exc}")
-    circ = replace(circ, vin=vin)
-
     samples: list[RdsSample] = []
     violations: list[tuple[int, SoaViolation]] = []
     v_max_measured = 0.0
-    aborted = False
+    vin = float("nan")
     abort_reason = ""
-    t_prev = 0.0
-    for idx, t_k in enumerate(cell.schedule()):
-        state = apply_stress_step(state, deg, cell.v_stress, cell.temp, t_k - t_prev)
-        t_prev = t_k
-        where = f"sample {idx} (t = {t_k:g} min)"
-        try:
+    stage = "circuit set-up"
+    try:
+        circ = cell_circuit(cell, circuit)
+        drv = replace(drive, duty=cell.duty)
+        state = DeviceState(rds_on_nominal=ratings.rds_on_nominal)
+        stage = "drive tuning"
+        vin = tune_vin(cell, circ, drv, state, sim, flags=flags)
+        circ = replace(circ, vin=vin)
+        t_prev = 0.0
+        for idx, t_k in enumerate(cell.schedule()):
+            stage = f"sample {idx} (t = {t_k:g} min)"
+            state = apply_stress_step(state, deg, cell.v_stress, cell.temp, t_k - t_prev)
+            t_prev = t_k
             m, fallback = periodic_steady_state(circ, drv, state, sim)
-        except NumericInstabilityError as exc:
-            aborted = True
-            abort_reason = f"{where}: {exc}"
-            break
-        if fallback is not None:
-            flags.append(f"{where}: marched steady state ({fallback})")
-        v_max_measured = max(v_max_measured, m.v_max)
-        for viol in check_soa(ratings, m.v_max, m.i_peak, cell.temp):
-            violations.append((idx, viol))
-        r = extract_rds_on(m.v_in_avg, m.v_max, cell.duty, m.i_avg, cell.shape_factor)
-        if r <= 0.0:
-            flags.append(f"{where}: non-positive extraction {r!r}")
-            continue
-        samples.append(RdsSample(t_k, r))
+            if fallback is not None:
+                flags.append(f"{stage}: marched steady state ({fallback})")
+            v_max_measured = max(v_max_measured, m.v_max)
+            for viol in check_soa(ratings, m.v_max, m.i_peak, cell.temp):
+                violations.append((idx, viol))
+            r = extract_rds_on(m.v_in_avg, m.v_max, cell.duty, m.i_avg, cell.shape_factor)
+            if r <= 0.0:
+                flags.append(f"{stage}: non-positive extraction {r!r}")
+                continue
+            samples.append(RdsSample(t_k, r))
+    except GanStressError as exc:
+        abort_reason = f"{stage}: {exc}"
 
     fit = fit_log_time(samples) if len(samples) >= 2 else None
     return CellResult(cell=cell, samples=samples, v_max_measured=v_max_measured,
                       vin_tuned=vin, fit=fit, soa_violations=violations,
-                      quality_flags=flags, aborted=aborted, abort_reason=abort_reason)
+                      quality_flags=flags, aborted=bool(abort_reason),
+                      abort_reason=abort_reason)
 
 
 def run_matrix(cells: list[StressCell], circuit: CircuitParams, drive: DriveSignal,
@@ -251,15 +250,7 @@ def run_matrix(cells: list[StressCell], circuit: CircuitParams, drive: DriveSign
                sim: SimConfig = CAMPAIGN_SIM) -> CampaignResult:
     """Run every cell independently; output order matches the input order.
 
-    A cell abort is recorded in that cell's result and never fails the
-    matrix."""
-    results = []
-    for cell in cells:
-        try:
-            results.append(run_cell(cell, circuit, drive, ratings, deg, sim))
-        except GanStressError as exc:
-            results.append(CellResult(cell=cell, samples=[], v_max_measured=0.0,
-                                      vin_tuned=float("nan"), fit=None,
-                                      soa_violations=[], aborted=True,
-                                      abort_reason=str(exc)))
-    return CampaignResult(cells=results)
+    ``run_cell`` records a cell's abort in that cell's result, so one cell
+    never fails the matrix."""
+    return CampaignResult(cells=[run_cell(cell, circuit, drive, ratings, deg, sim)
+                                 for cell in cells])

@@ -6,7 +6,9 @@ Exit codes: 0 success, 2 validation error, 3 numeric instability.
 
 from __future__ import annotations
 
+import io
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -16,20 +18,33 @@ from .campaign import run_matrix
 from .config import RunConfig, apply_overrides, config_hash, parse_config
 from .converter import simulate, steady_state_metrics
 from .device import DeviceState
-from .errors import GanStressError, NumericInstabilityError
+from .errors import GanStressError, InvalidParameterError, NumericInstabilityError
 from .results import emit_fit, emit_metrics, emit_results
 
 EXIT_VALIDATION = 2
 EXIT_INSTABILITY = 3
 
 
-def _fail(exc: Exception, code: int):
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(code)
+@contextmanager
+def _exit_codes():
+    """Exit 3 on a NumericInstabilityError, 2 on any other workbench error or an OSError, after
+    ``error: ...`` on stderr; other exceptions are bugs and keep their traceback."""
+    try:
+        yield
+    except (GanStressError, OSError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_INSTABILITY if isinstance(exc, NumericInstabilityError) else EXIT_VALIDATION)
+
+
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _load_config(config_path, overrides, mode) -> RunConfig:
-    text = Path(config_path).read_text() if config_path else ""
+    text = _read_text(config_path) if config_path else ""
     if overrides:
         text = apply_overrides(text, list(overrides))
     return parse_config(text, mode)
@@ -63,18 +78,14 @@ def cli():
 @common_options
 def simulate_cmd(config_path, out, overrides, seed):
     """Run one converter simulation; write waveform.csv and metrics.txt."""
-    try:
+    with _exit_codes():
         cfg = _load_config(config_path, overrides, "simulate")
         device = DeviceState(rds_on_nominal=cfg.ratings.rds_on_nominal)
         wave = simulate(cfg.circuit, cfg.drive, device, cfg.sim)
-        metrics = steady_state_metrics(wave, cfg.sim, cfg.drive)
+        metrics = steady_state_metrics(wave, cfg.sim)
         out_dir = _prepare_out(out)
         paths = emit_results(wave, out_dir)
         paths += emit_metrics(metrics, out_dir)
-    except NumericInstabilityError as exc:
-        _fail(exc, EXIT_INSTABILITY)
-    except (GanStressError, OSError) as exc:
-        _fail(exc, EXIT_VALIDATION)
     for p in paths:
         click.echo(str(p))
 
@@ -83,17 +94,13 @@ def simulate_cmd(config_path, out, overrides, seed):
 @common_options
 def campaign(config_path, out, overrides, seed):
     """Run the stress-cell matrix; write per-cell CSVs and summary.csv."""
-    try:
+    with _exit_codes():
         cfg = _load_config(config_path, overrides, "campaign")
         result = run_matrix(cfg.cells, cfg.circuit, cfg.drive, cfg.ratings,
                             cfg.degradation, cfg.sim)
         result.config_hash = config_hash(cfg)
         out_dir = _prepare_out(out)
         paths = emit_results(result, out_dir)
-    except NumericInstabilityError as exc:
-        _fail(exc, EXIT_INSTABILITY)
-    except (GanStressError, OSError) as exc:
-        _fail(exc, EXIT_VALIDATION)
     click.echo(f"config_hash = {result.config_hash}")
     for idx, cell_result in enumerate(result.cells):
         if cell_result.aborted:
@@ -110,15 +117,11 @@ def campaign(config_path, out, overrides, seed):
 @click.option("--out", "out", default=None, help="Also write fit.txt into this directory.")
 def fit(csv_path, out):
     """Fit an on-resistance CSV (t_min,rds_on_ohm) against ln(t)."""
-    try:
-        with open(csv_path) as stream:
-            samples = read_rds_csv(stream)
-        result = fit_log_time(samples)
+    with _exit_codes():
+        result = fit_log_time(read_rds_csv(io.StringIO(_read_text(csv_path))))
         text = fit_report(result)
         if out is not None:
             emit_fit(result, _prepare_out(out))
-    except (GanStressError, OSError) as exc:
-        _fail(exc, EXIT_VALIDATION)
     click.echo(text, nl=False)
 
 
@@ -131,10 +134,8 @@ def fit(csv_path, out):
               help="Off-state transition shape factor (2 = triangular).")
 def extract(vin_avg, vmax, duty, iavg, shape_factor):
     """Extract the on-resistance from averaged measurements."""
-    try:
+    with _exit_codes():
         value = extract_rds_on(vin_avg, vmax, duty, iavg, shape_factor)
-    except GanStressError as exc:
-        _fail(exc, EXIT_VALIDATION)
     click.echo(f"rds_on_ohm = {value!r}")
     if value <= 0.0:
         click.echo("consistent = False  # non-positive extraction: inputs disagree")

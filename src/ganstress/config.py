@@ -111,7 +111,10 @@ def parse_quantity(value: Any, path: str) -> float:
     if isinstance(value, bool):
         raise ConfigurationError(f"{path}: expected a number, got boolean {value}")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigurationError(f"{path}: integer too large for a float") from None
     if isinstance(value, str):
         m = _ENG_RE.match(value)
         if m:
@@ -141,7 +144,7 @@ def _read(key: _Key, name: str, value: Any, path: str) -> Any:
     """The field value of one key's spelling ``name``."""
     if key.kind == _INT:
         x = parse_quantity(value, path)
-        if x != int(x):
+        if not x.is_integer():
             raise ConfigurationError(f"{path}: expected an integer, got {value!r}")
         return int(x)
     if key.kind == _OPTIONAL and value is None:
@@ -254,10 +257,9 @@ def apply_overrides(text: str, overrides: list[str]) -> str:
         value = _load_yaml(raw, f"override value in {item!r}")
         if section == "cell":
             cells = doc.setdefault("cells", [dict(c) for c in DEFAULT_CELLS])
-            if not isinstance(cells, list):
-                raise ConfigurationError("cells: expected a list of cell mappings")
-            for c in cells:
-                c[key] = value
+            for c in cells if isinstance(cells, list) else ():
+                if isinstance(c, dict):   # parse_config rejects the rest
+                    c[key] = value
         else:
             target = doc.setdefault(section, {})
             if not isinstance(target, dict):

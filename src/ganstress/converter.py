@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, TextIO
 
 import numpy as np
@@ -66,6 +66,7 @@ from .errors import (
     InsufficientDataError,
     InvalidParameterError,
     NumericInstabilityError,
+    require_finite,
 )
 
 WAVEFORM_CSV_HEADER = "t_s,v_ds_V,i_l_A,v_out_V,gate_on"
@@ -97,10 +98,9 @@ class CircuitParams:
     r_load: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("vin", "l_drain", "c_out", "v_supply", "diode_vf", "series_r"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value}")
+        require_finite(vin=self.vin, l_drain=self.l_drain, c_in=self.c_in, c_out=self.c_out,
+                       v_supply=self.v_supply, diode_vf=self.diode_vf, series_r=self.series_r,
+                       r_load=self.r_load)
         if not self.vin > 0.0:
             raise InvalidParameterError(f"vin must be > 0, got {self.vin}")
         if not self.l_drain > 0.0:
@@ -134,6 +134,7 @@ class DriveSignal:
     v_gate_low: float = 0.0
 
     def __post_init__(self):
+        require_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
         if not self.frequency > 0.0:
             raise InvalidParameterError(f"frequency must be > 0, got {self.frequency}")
         if not 0.0 <= self.duty <= 1.0:
@@ -155,6 +156,7 @@ class SimConfig:
     settle_fraction: float = 0.5
 
     def __post_init__(self):
+        require_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
         if self.steps_per_period < 100:
             raise InvalidParameterError(f"steps_per_period must be >= 100, got {self.steps_per_period}")
         if self.n_periods < 2:
@@ -213,8 +215,7 @@ class SteadyStateMetrics:
 
 def ideal_boost_vout(vin: float, duty: float) -> float:
     """Ideal continuous-conduction transfer: vin / (1 - duty)."""
-    if not math.isfinite(vin):
-        raise InvalidParameterError(f"vin must be finite, got {vin}")
+    require_finite(vin=vin)
     if duty == 1.0:
         raise DomainDivisionError("boost transfer diverges at duty = 1")
     if not 0.0 <= duty < 1.0:
@@ -462,7 +463,7 @@ def _window_metrics(v_ds: np.ndarray, i_l: np.ndarray, on: np.ndarray) -> Steady
     )
 
 
-def steady_state_metrics(w: Waveform, sim: SimConfig, drive: DriveSignal) -> SteadyStateMetrics:
+def steady_state_metrics(w: Waveform, sim: SimConfig) -> SteadyStateMetrics:
     """Reduce a waveform to its post-settle steady-state scalars.
 
     ``i_avg`` is the mean inductor current over on-gate samples; for a run
@@ -594,7 +595,7 @@ def periodic_steady_state(circuit: CircuitParams, drive: DriveSignal, device: De
     """
     solved = _solve_orbit(circuit, drive, device, sim.steps_per_period)
     if isinstance(solved, str):
-        return steady_state_metrics(simulate(circuit, drive, device, sim), sim, drive), solved
+        return steady_state_metrics(simulate(circuit, drive, device, sim), sim), solved
     return solved[1], None
 
 

@@ -21,10 +21,10 @@ Natural logarithms are used throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 from .device import DeviceState
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_finite
 
 #: Boltzmann constant in eV/K.
 K_BOLTZMANN_EV = 8.617e-5
@@ -50,6 +50,7 @@ class DegradationParams:
     vertical_offset: float = 0.0    # additive offset on delta_R/R (frequency/current effects)
 
     def __post_init__(self):
+        require_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
         if self.b < 0.0:
             raise InvalidParameterError(f"b must be >= 0, got {self.b}")
         if not self.alpha > 0.0:
@@ -70,10 +71,12 @@ def stress_slope(params: DegradationParams, v_ds: float, temp: float) -> float:
     """Degradation slope per unit ln(time) at a stress point (volts, kelvin)."""
     if not temp > 0.0:
         raise InvalidParameterError(f"temp must be > 0 K, got {temp}")
-    if not math.isfinite(v_ds):
-        raise InvalidParameterError(f"v_ds must be finite, got {v_ds}")
+    require_finite(v_ds=v_ds)
     gate = _softplus((v_ds - params.v_fd) / params.alpha)
-    thermal = math.sqrt(temp) * math.exp(params.hbar_omega_lo / (K_BOLTZMANN_EV * temp))
+    try:
+        thermal = math.sqrt(temp) * math.exp(params.hbar_omega_lo / (K_BOLTZMANN_EV * temp))
+    except OverflowError:
+        raise InvalidParameterError(f"thermal factor overflows at temp = {temp} K") from None
     return params.a + params.b * gate * thermal
 
 
@@ -91,11 +94,12 @@ def apply_stress_step(state: DeviceState, params: DegradationParams,
     Time-marching wrapper around the closed-form law: successive steps at the
     same (V, T) land exactly on the closed form at the accumulated time. The
     delta-R fraction never decreases, even if the stress condition is relaxed
-    mid-campaign.
+    mid-campaign; a NaN law value passes through ``max`` to DeviceState, which
+    refuses it.
     """
     if not dt > 0.0:
         raise InvalidParameterError(f"dt must be > 0 min, got {dt}")
     t_new = state.stress_time + dt
     delta = delta_r_fraction(params, v_ds, temp, t_new)
-    return replace(state, stress_time=t_new,
-                   delta_r_fraction=max(state.delta_r_fraction, delta))
+    return DeviceState(rds_on_nominal=state.rds_on_nominal, stress_time=t_new,
+                       delta_r_fraction=max(delta, state.delta_r_fraction))

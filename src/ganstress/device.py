@@ -8,9 +8,9 @@ published material rounds the same figure to 3.33 ohm. 3.3 is used here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_finite
 
 CELSIUS_OFFSET = 273.15
 
@@ -37,11 +37,7 @@ class DeviceRatings:
     rds_on_nominal: float = 3.3
 
     def __post_init__(self):
-        for name in ("vds_max_pulsed", "vds_max_continuous", "id_max", "vgs_max", "vgs_min",
-                     "tj_min", "tj_max", "rds_on_nominal"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite, got {value}")
+        require_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
         if not (self.vds_max_pulsed >= self.vds_max_continuous > 0.0):
             raise InvalidParameterError(
                 "requires vds_max_pulsed >= vds_max_continuous > 0, got "
@@ -110,9 +106,7 @@ def check_soa(ratings: DeviceRatings, vds_peak: float, id_peak: float, tj: float
     pulsed events); junction temperature against the rated range. Violations
     are data, not failures: an empty list means the point is inside the SOA.
     """
-    for name, x in (("vds_peak", vds_peak), ("id_peak", id_peak), ("tj", tj)):
-        if not math.isfinite(x):
-            raise InvalidParameterError(f"{name} must be finite, got {x}")
+    require_finite(vds_peak=vds_peak, id_peak=id_peak, tj=tj)
     violations = []
     if vds_peak > ratings.vds_max_pulsed:
         violations.append(SoaViolation("vds_max_pulsed", vds_peak, ratings.vds_max_pulsed,

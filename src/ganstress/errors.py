@@ -1,5 +1,7 @@
 """Exception types shared across the workbench."""
 
+from math import isfinite
+
 
 class GanStressError(Exception):
     """Base class for all workbench errors."""
@@ -31,3 +33,11 @@ class DegenerateRegressionError(GanStressError, ValueError):
 
 class ConfigurationError(GanStressError, ValueError):
     """Config document is malformed, has unknown keys, or violates bounds."""
+
+
+def require_finite(**values) -> None:
+    """Raise InvalidParameterError naming the first NaN or infinite value; skip ``None``.
+    Pass dataclass fields by name: ``**vars(self)`` slows attribute reads on CPython 3.11."""
+    for name, x in values.items():
+        if x is not None and not isfinite(x):
+            raise InvalidParameterError(f"{name} must be finite, got {x}")

@@ -195,7 +195,7 @@ def test_criterion_7_physics_invariants(boost_runs):
         qb = worst_charge_balance(w, sim, circ)
         ok = ok and vs <= 0.01 and qb <= 0.01 and w.i_l.min() >= 0.0
         ok = ok and clamp_margin(w, circ) <= 1.01
-        metrics.append(steady_state_metrics(w, sim, CAMPAIGN_DRIVE))
+        metrics.append(steady_state_metrics(w, sim))
     dv_max = abs(metrics[1].v_max - metrics[0].v_max) / metrics[0].v_max
     dv_avg = abs(metrics[1].v_in_avg - metrics[0].v_in_avg) / metrics[0].v_in_avg
     ok = ok and dv_max <= 0.005 and dv_avg <= 0.005

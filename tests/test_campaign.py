@@ -14,6 +14,7 @@ from ganstress import (
     StressCell,
     apply_stress_step,
     extract_rds_on,
+    fit_log_time,
     periodic_steady_state,
     run_cell,
     run_matrix,
@@ -30,7 +31,7 @@ from ganstress.campaign import (
     tune_vin,
 )
 from ganstress.config import parse_config
-from ganstress.errors import InvalidParameterError
+from ganstress.errors import InsufficientDataError, InvalidParameterError
 
 CIRCUIT = CircuitParams()
 DEG_DEFAULTS = DegradationParams()
@@ -71,7 +72,7 @@ def test_measured_peak_matches_stress_level(cell60_result):
 def test_tuned_current_hits_target(cell60_result):
     circ = replace(cell_circuit(make_cell(60.0), CIRCUIT), vin=cell60_result.vin_tuned)
     w = simulate(circ, CAMPAIGN_DRIVE, DeviceState(rds_on_nominal=3.3), CAMPAIGN_SIM)
-    m = steady_state_metrics(w, CAMPAIGN_SIM, CAMPAIGN_DRIVE)
+    m = steady_state_metrics(w, CAMPAIGN_SIM)
     assert m.i_avg == pytest.approx(0.4, rel=0.02)
 
 
@@ -131,6 +132,60 @@ def test_unstable_cell_aborts_without_failing_matrix():
     result = run_matrix(cells, bad_circuit, CAMPAIGN_DRIVE, EPC2038, DEG_DEFAULTS, CAMPAIGN_SIM)
     assert result.cells[0].aborted
     assert result.cells[0].abort_reason
+
+
+@pytest.fixture(scope="module")
+def dcm_cell_result():
+    """A cell whose measurements all leave flags (its orbit is discontinuous)
+    and SOA records (``id_max`` lowered below its peak current)."""
+    cell = make_cell(120.0, times=SHORT_TIMES[:5], i_drive=0.25)
+    ratings = replace(EPC2038, id_max=0.3)
+    return cell, ratings, run_cell(cell, CIRCUIT, CAMPAIGN_DRIVE, ratings, DEG_DEFAULTS,
+                                   CAMPAIGN_SIM)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_failure_at_a_sample_keeps_what_was_measured(monkeypatch, dcm_cell_result, k):
+    cell, ratings, solo = dcm_cell_result
+    assert len(solo.samples) == 5 and len(solo.soa_violations) == 5 and not solo.aborted
+    sample_calls = []
+
+    def failing(circuit, drive, device, sim):
+        if device.stress_time > 0.0:   # tuning measures the fresh device
+            sample_calls.append(device)
+            if len(sample_calls) == k + 1:
+                raise InsufficientDataError("injected")
+        return periodic_steady_state(circuit, drive, device, sim)
+
+    monkeypatch.setattr(campaign, "periodic_steady_state", failing)
+    res = run_cell(cell, CIRCUIT, CAMPAIGN_DRIVE, ratings, DEG_DEFAULTS, CAMPAIGN_SIM)
+    assert res.aborted
+    assert res.abort_reason == f"sample {k} (t = {SHORT_TIMES[k]:g} min): injected"
+    assert res.vin_tuned == solo.vin_tuned
+    assert res.samples == solo.samples[:k]
+    assert res.soa_violations == [(i, v) for i, v in solo.soa_violations if i < k]
+    assert res.quality_flags == [f for f in solo.quality_flags
+                                 if not f.startswith("sample ") or int(f.split()[1]) < k]
+    assert res.fit == (fit_log_time(res.samples) if k >= 2 else None)
+    assert (res.v_max_measured > 0.0) == (k > 0)
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (dict(v_stress=0.25), "circuit set-up: clamp v_supply + diode_vf must be >= 0, got -0.25"),
+    (dict(v_stress=60.0, temp=0.001),
+     "sample 0 (t = 10 min): thermal factor overflows at temp = 0.001 K"),
+], ids=["clamp-below-ground", "thermal-overflow"])
+def test_failing_cell_names_its_stage_and_spares_the_next(bad, reason):
+    bad_cell = make_cell(times=SHORT_TIMES[:3], **bad)
+    good_cell = make_cell(85.0, times=SHORT_TIMES[:3])
+    result = run_matrix([bad_cell, good_cell], CIRCUIT, CAMPAIGN_DRIVE, EPC2038, DEG_DEFAULTS,
+                        CAMPAIGN_SIM)
+    aborted, good = result.cells
+    assert aborted.aborted
+    assert aborted.abort_reason == reason
+    assert aborted.samples == [] and aborted.fit is None
+    assert good == run_cell(good_cell, CIRCUIT, CAMPAIGN_DRIVE, EPC2038, DEG_DEFAULTS,
+                            CAMPAIGN_SIM)
 
 
 def test_default_schedule_is_log_spaced():
@@ -238,7 +293,7 @@ def test_dcm_cell_falls_back_to_the_exact_march(monkeypatch):
         state = apply_stress_step(state, DEG_DEFAULTS, cell.v_stress, cell.temp, t - t_prev)
         t_prev = t
         w = simulate(circ, CAMPAIGN_DRIVE, state, CAMPAIGN_SIM)
-        m = steady_state_metrics(w, CAMPAIGN_SIM, CAMPAIGN_DRIVE)
+        m = steady_state_metrics(w, CAMPAIGN_SIM)
         r = extract_rds_on(m.v_in_avg, m.v_max, cell.duty, m.i_avg, cell.shape_factor)
         expected.append(RdsSample(t, r))
     assert res.samples == expected

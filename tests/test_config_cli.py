@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 
+import click
 import numpy as np
 import pytest
 import yaml
@@ -149,12 +151,42 @@ REJECTIONS = [
     ("device: {tj_min_c: 1, tj_min_k: 3}", "device: give only one of tj_min_c / tj_min_k"),
     ("drive: {duty: 2}\ncircuit: {vin: -1}", "circuit: vin must be > 0, got -1.0"),
     ("drive: {duty: 2}\nbogus: 1", "drive: duty must be in [0, 1], got 2.0"),
+    ("sim: {n_periods: .inf}", "sim.n_periods: expected an integer, got inf"),
+    ("sim: {n_periods: 1e400}", "sim.n_periods: expected an integer, got '1e400'"),
+    ("sim: {steps_per_period: .nan}", "sim.steps_per_period: expected an integer, got nan"),
+    ("cells: [{sample_times_min: [1, .nan]}]", "cells[0]: sample_times[1] must be finite, got nan"),
 ]
 
 
 @pytest.mark.parametrize("text, message", REJECTIONS,
                          ids=[text.replace("\n", "; ") for text, _ in REJECTIONS])
 def test_rejection_messages(text, message):
+    for mode in ("simulate", "campaign"):
+        with pytest.raises(ConfigurationError) as excinfo:
+            parse_config(text, mode)
+        assert str(excinfo.value) == message
+
+
+def non_finite_cases():
+    """A NaN and an infinity in every float field of every section and of a
+    cell, each with the message naming the section and the field."""
+    for value, shown in ((".nan", "nan"), (".inf", "inf")):
+        for section, (_, keys) in config._SECTIONS.items():
+            for key in keys:
+                if key.kind != config._INT:
+                    yield (f"{section}: {{{key.names[0]}: {value}}}",
+                           f"{section}: {key.field} must be finite, got {shown}")
+        for key in config._CELL_KEYS:
+            if key.kind == config._LIST:
+                yield (f"cells: [{{{key.names[0]}: [{value}]}}]",
+                       f"cells[0]: {key.field}[0] must be finite, got {shown}")
+            else:
+                yield (f"cells: [{{{key.names[0]}: {value}}}]",
+                       f"cells[0]: {key.field} must be finite, got {shown}")
+
+
+@pytest.mark.parametrize("text, message", list(non_finite_cases()))
+def test_non_finite_values_rejected_in_every_field(text, message):
     for mode in ("simulate", "campaign"):
         with pytest.raises(ConfigurationError) as excinfo:
             parse_config(text, mode)
@@ -376,3 +408,68 @@ def test_cli_malformed_override_value_exit_2(tmp_path):
 def test_overrides_reject_a_non_mapping_root():
     with pytest.raises(ConfigurationError, match="config root must be a mapping"):
         apply_overrides("- 1\n- 2\n", ["circuit.vin=5"])
+
+
+#: (command, config file bytes or None, overrides, exit code, stderr text)
+BAD_INPUTS = {
+    "n_periods-inf": ("simulate", None, ["sim.n_periods=.inf"], 2,
+                      "sim.n_periods: expected an integer, got inf"),
+    "n_periods-1e400": ("simulate", None, ["sim.n_periods=1e400"], 2,
+                        "sim.n_periods: expected an integer, got '1e400'"),
+    "steps_per_period-nan": ("simulate", None, ["sim.steps_per_period=.nan"], 2,
+                             "sim.steps_per_period: expected an integer, got nan"),
+    "vin-401-digits": ("campaign", b"circuit: {vin: 1" + b"0" * 400 + b"}\n", [], 2,
+                       "circuit.vin: integer too large for a float"),
+    "config-not-utf8": ("campaign", b"circuit: {vin: \xff}\n", [], 2, "is not UTF-8 text"),
+    "csv-not-utf8": ("fit", b"t_min,rds_on_ohm\n1,\xff\n", [], 2, "is not UTF-8 text"),
+    "cell-override-on-non-mapping": ("campaign", b"cells: [5]\n", ["cell.duty=0.5"], 2,
+                                     "cells[0]: expected a mapping, got int"),
+    "degradation-a-nan": ("campaign", None, ["degradation.a=.nan"], 2,
+                          "degradation: a must be finite, got nan"),
+    "frequency-inf": ("campaign", None, ["drive.frequency=.inf"], 2,
+                      "drive: frequency must be finite, got inf"),
+    "sample-time-nan": ("campaign", b"cells: [{v_stress: 60, sample_times_min: [1, .nan]}]\n", [],
+                        2, "cells[0]: sample_times[1] must be finite, got nan"),
+    "c_in-nan": ("simulate", None, ["circuit.c_in=.nan"], 2,
+                 "circuit: c_in must be finite, got nan"),
+    "instability": ("simulate", None, ["circuit.l_drain=1e-300", "sim.n_periods=2"], 3,
+                    "non-finite state at integration step"),
+}
+
+
+@pytest.mark.parametrize("command, document, overrides, code, text", BAD_INPUTS.values(),
+                         ids=BAD_INPUTS.keys())
+def test_cli_bad_input_exit_code(tmp_path, command, document, overrides, code, text):
+    """Bad input and integrator blow-up end in ``error: ...`` on stderr and
+    their exit code, never in a traceback."""
+    args = [command]
+    if document is not None:
+        path = tmp_path / "input"
+        path.write_bytes(document)
+        args += [str(path)] if command == "fit" else ["--config", str(path)]
+    if command != "fit":
+        args += ["--out", str(tmp_path / "out")]
+    for item in overrides:
+        args += ["--set", item]
+    result = CliRunner().invoke(cli, args)
+    assert result.exc_info[0] is SystemExit
+    assert result.exit_code == code
+    assert result.stderr.startswith("error: ")
+    assert text in result.stderr
+
+
+def test_cli_closed_stdout_is_not_an_input_error(monkeypatch):
+    """An echo to a closed stdout is outside the exit-code map: click's own
+    handling exits 1 without an ``error:`` line."""
+    echo = click.echo
+
+    def closed_stdout(message=None, err=False, **kwargs):
+        if not err:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        echo(message, err=err, **kwargs)
+
+    monkeypatch.setattr(click, "echo", closed_stdout)
+    result = CliRunner().invoke(cli, ["extract", "--vin-avg", "9.95", "--vmax", "60",
+                                      "--duty", "0.7", "--iavg", "0.4"])
+    assert result.exit_code == 1
+    assert "error:" not in result.stderr

@@ -91,7 +91,7 @@ def test_duty_zero_unloaded_settles_at_source_minus_diode_drop():
 
 def test_boost_law_ccm_half_duty():
     w, circuit, drive, sim = loaded_boost(0.5)
-    m = steady_state_metrics(w, sim, drive)
+    m = steady_state_metrics(w, sim)
     start = len(w) - 150 * sim.steps_per_period
     avg = float(w.v_out[start:].mean())
     assert avg == pytest.approx(ideal_boost_vout(circuit.vin, 0.5), rel=0.02)
@@ -114,7 +114,7 @@ def test_flat_drain_mean_does_not_round_above_its_peak():
     circuit = CircuitParams(vin=76.422)
     drive = DriveSignal(duty=0.0)
     sim = SimConfig()
-    m = steady_state_metrics(simulate(circuit, drive, DeviceState(), sim), sim, drive)
+    m = steady_state_metrics(simulate(circuit, drive, DeviceState(), sim), sim)
     assert m.v_in_avg == m.v_max == 76.422
 
 
@@ -124,7 +124,7 @@ def test_stress_circuit_drain_clamped_near_supply():
     drive = DriveSignal(frequency=100e3, duty=0.7)
     sim = SimConfig(steps_per_period=1000, n_periods=60)
     w = simulate(circuit, drive, DeviceState(), sim)
-    m = steady_state_metrics(w, sim, drive)
+    m = steady_state_metrics(w, sim)
     assert m.v_max >= circuit.v_supply
     assert m.v_max <= (circuit.v_supply + circuit.diode_vf) * 1.01
 
@@ -150,7 +150,7 @@ def test_step_halving_convergence():
     for spp in (400, 800):
         sim = SimConfig(steps_per_period=spp, n_periods=140)
         w = simulate(circuit, drive, DeviceState(), sim)
-        metrics.append(steady_state_metrics(w, sim, drive))
+        metrics.append(steady_state_metrics(w, sim))
     m1, m2 = metrics
     assert abs(m2.v_max - m1.v_max) / m1.v_max <= 0.005
     assert abs(m2.v_in_avg - m1.v_in_avg) / m1.v_in_avg <= 0.005
@@ -184,7 +184,7 @@ def test_unsolvable_steady_state_falls_back_to_march(circuit, frequency, event):
     sim = SimConfig(steps_per_period=400, n_periods=10)
     m, fallback = periodic_steady_state(circuit, drive, DeviceState(), sim)
     assert fallback == event
-    assert m == steady_state_metrics(simulate(circuit, drive, DeviceState(), sim), sim, drive)
+    assert m == steady_state_metrics(simulate(circuit, drive, DeviceState(), sim), sim)
 
 
 def test_stiff_step_falls_back_to_march():
@@ -194,7 +194,7 @@ def test_stiff_step_falls_back_to_march():
     sim = SimConfig(steps_per_period=400, n_periods=10)
     m, fallback = periodic_steady_state(circuit, drive, DeviceState(), sim)
     assert fallback == "step too stiff for the closed form"
-    assert m == steady_state_metrics(simulate(circuit, drive, DeviceState(), sim), sim, drive)
+    assert m == steady_state_metrics(simulate(circuit, drive, DeviceState(), sim), sim)
 
 
 def test_clipped_off_predictor_falls_back_to_march():
@@ -207,7 +207,7 @@ def test_clipped_off_predictor_falls_back_to_march():
     sim = SimConfig(steps_per_period=100, n_periods=40)
     m, fallback = periodic_steady_state(circuit, drive, device, sim)
     assert fallback == "current reaches zero"
-    assert m == steady_state_metrics(simulate(circuit, drive, device, sim), sim, drive)
+    assert m == steady_state_metrics(simulate(circuit, drive, device, sim), sim)
 
 
 @settings(max_examples=150, deadline=None)
@@ -404,7 +404,7 @@ def test_metrics_constant_waveform():
     spp = 100
     w = make_waveform([5.0] * (4 * spp + 1))
     sim = SimConfig(steps_per_period=spp, n_periods=4, settle_fraction=0.25)
-    m = steady_state_metrics(w, sim, DriveSignal(duty=0.0))
+    m = steady_state_metrics(w, sim)
     assert m.v_max == 5.0
     assert m.v_in_avg == pytest.approx(5.0, rel=1e-12)
     assert m.i_avg == 0.0
@@ -423,7 +423,7 @@ def test_metrics_square_plus_triangle_matches_transition_average():
     gate = np.concatenate([np.tile(np.arange(spp) < on, 4), [True]])
     w = make_waveform(v_ds, gate_on=gate)
     sim = SimConfig(steps_per_period=spp, n_periods=4, settle_fraction=0.0)
-    m = steady_state_metrics(w, sim, DriveSignal(duty=0.7))
+    m = steady_state_metrics(w, sim)
     assert m.v_max == pytest.approx(60.0, rel=0.01)
     assert m.v_in_avg == pytest.approx(9.0, rel=0.01)
 
@@ -433,7 +433,7 @@ def test_metrics_insufficient_data():
     w = make_waveform([1.0] * (spp + 1))
     sim = SimConfig(steps_per_period=spp, n_periods=4, settle_fraction=0.5)
     with pytest.raises(InsufficientDataError):
-        steady_state_metrics(w, sim, DriveSignal())
+        steady_state_metrics(w, sim)
 
 
 def test_waveform_rejects_negative_current():

@@ -147,6 +147,16 @@ def test_apply_stress_step_rejects_bad_dt():
         apply_stress_step(DeviceState(), DEFAULTS, 100.0, 298.15, 0.0)
 
 
+def test_apply_stress_step_refuses_a_nan_law_value():
+    """Finite parameters can still make the law NaN: a knee width so small
+    that the softplus gate overflows, times b = 0. The step must refuse it,
+    not keep the previous fraction."""
+    params = DegradationParams(a=0.01, b=0.0, alpha=1e-310)
+    assert math.isnan(stress_slope(params, 110.0, 298.15))
+    with pytest.raises(InvalidParameterError, match="delta_r_fraction must be >= 0 and finite"):
+        apply_stress_step(DeviceState(), params, 110.0, 298.15, 10.0)
+
+
 def test_log_linearity_far_above_reference_time():
     # secant slope of delta vs ln(t) within 1% of the stress slope for t >= 100*t0
     s = stress_slope(DEFAULTS, 100.0, 298.15)
