@@ -38,10 +38,11 @@ class RdsSample:
     rds_on: float
 
     def __post_init__(self):
-        if self.t < 0.0:
-            raise InvalidParameterError(f"t must be >= 0 min, got {self.t}")
-        if not self.rds_on > 0.0:
-            raise InvalidParameterError(f"rds_on must be > 0, got {self.rds_on}")
+        # Comparisons, not require_finite: a campaign builds two samples per measurement.
+        if not 0.0 <= self.t < math.inf:
+            raise InvalidParameterError(f"t must be >= 0 min and finite, got {self.t}")
+        if not 0.0 < self.rds_on < math.inf:
+            raise InvalidParameterError(f"rds_on must be > 0 and finite, got {self.rds_on}")
 
 
 @dataclass(frozen=True)

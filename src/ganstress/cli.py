@@ -15,7 +15,7 @@ import click
 
 from .analysis import extract_rds_on, fit_log_time, fit_report, read_rds_csv
 from .campaign import run_matrix
-from .config import RunConfig, apply_overrides, config_hash, parse_config
+from .config import RunConfig, config_hash, parse_config
 from .converter import simulate, steady_state_metrics
 from .device import DeviceState
 from .errors import GanStressError, InvalidParameterError, NumericInstabilityError
@@ -44,10 +44,7 @@ def _read_text(path) -> str:
 
 
 def _load_config(config_path, overrides, mode) -> RunConfig:
-    text = _read_text(config_path) if config_path else ""
-    if overrides:
-        text = apply_overrides(text, list(overrides))
-    return parse_config(text, mode)
+    return parse_config(_read_text(config_path) if config_path else "", mode, overrides)
 
 
 def _prepare_out(out: str) -> Path:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field, replace
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 import yaml
 
@@ -127,17 +127,12 @@ def parse_quantity(value: Any, path: str) -> float:
 class RunConfig:
     """Fully resolved run description for one CLI invocation."""
 
-    mode: str
     circuit: CircuitParams
     drive: DriveSignal
     sim: SimConfig
     ratings: DeviceRatings
     degradation: DegradationParams
     cells: list[StressCell] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 def _read(key: _Key, name: str, value: Any, path: str) -> Any:
@@ -207,18 +202,50 @@ def _load_yaml(text: str, what: str) -> Any:
         raise ConfigurationError(f"malformed {what}: {exc}") from exc
 
 
-def parse_config(text: str, mode: str) -> RunConfig:
+def _fold_override(doc: dict, item: str) -> None:
+    """Set one ``section.key=value`` override in a loaded document."""
+    if "=" not in item:
+        raise ConfigurationError(f"override {item!r} is not of the form section.key=value")
+    path, raw = item.split("=", 1)
+    parts = path.strip().split(".")
+    if len(parts) != 2:
+        raise ConfigurationError(f"override {item!r} must use a section.key path")
+    section, key = parts
+    value = _load_yaml(raw, f"override value in {item!r}")
+    if section == "cell":
+        cells = doc.setdefault("cells", [dict(c) for c in DEFAULT_CELLS])
+        for c in cells if isinstance(cells, list) else ():
+            if isinstance(c, dict):   # the cells loop rejects the rest
+                c[key] = value
+        return
+    target = doc.get(section)
+    if target is None:
+        target = doc[section] = {}
+    if not isinstance(target, dict):
+        raise ConfigurationError(f"{section}: expected a mapping")
+    target[key] = value
+
+
+def parse_config(text: str, mode: str, overrides: Iterable[str] = ()) -> RunConfig:
     """Parse and fully validate a config document for the given mode.
 
-    Empty or absent documents resolve to the published defaults. Unknown
-    keys are an error listing every offender; bound violations name the
-    field and the bound.
+    Empty or absent documents resolve to the published defaults. Each
+    ``section.key=value`` of ``overrides`` (the CLI's ``--set``) is folded
+    into the loaded document before its sections are read: the value is
+    read as YAML, an absent or null section becomes a mapping first, and
+    ``cell.<key>=value`` sets the key in every cell (the default cells if
+    the document gives none). Unknown keys are an error listing every
+    offender; bound violations name the field and the bound.
     """
+    if mode not in MODES:
+        raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
     doc = _load_yaml(text, "config document") if text.strip() else {}
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigurationError(f"config root must be a mapping, got {type(doc).__name__}")
+    for item in overrides:
+        _fold_override(doc, item)
 
     unknown = [str(k) for k in doc if k not in _SECTIONS and k != "cells"]
     defaults = _CAMPAIGN_DEFAULTS if mode == "campaign" else _DEFAULTS
@@ -235,37 +262,7 @@ def parse_config(text: str, mode: str) -> RunConfig:
 
     if unknown:
         raise ConfigurationError("unknown config keys: " + ", ".join(sorted(unknown)))
-    return RunConfig(mode=mode, cells=cells, **sections)
-
-
-def apply_overrides(text: str, overrides: list[str]) -> str:
-    """Fold ``section.key=value`` overrides into a config document.
-
-    ``cell.<key>=value`` applies the override to every cell.
-    """
-    doc = (_load_yaml(text, "config document") if text.strip() else {}) or {}
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"config root must be a mapping, got {type(doc).__name__}")
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigurationError(f"override {item!r} is not of the form section.key=value")
-        path, raw = item.split("=", 1)
-        parts = path.strip().split(".")
-        if len(parts) != 2:
-            raise ConfigurationError(f"override {item!r} must use a section.key path")
-        section, key = parts
-        value = _load_yaml(raw, f"override value in {item!r}")
-        if section == "cell":
-            cells = doc.setdefault("cells", [dict(c) for c in DEFAULT_CELLS])
-            for c in cells if isinstance(cells, list) else ():
-                if isinstance(c, dict):   # parse_config rejects the rest
-                    c[key] = value
-        else:
-            target = doc.setdefault(section, {})
-            if not isinstance(target, dict):
-                raise ConfigurationError(f"{section}: expected a mapping")
-            target[key] = value
-    return yaml.dump(doc, Dumper=_YAML_DUMPER, sort_keys=True)
+    return RunConfig(cells=cells, **sections)
 
 
 def emit_config(cfg: RunConfig) -> str:

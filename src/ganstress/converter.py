@@ -24,10 +24,9 @@ and the source voltage while the branch is open.
 Integration is fixed-step explicit trapezoidal with steps aligned to the
 PWM edges, so switching instants fall exactly on grid points. The duty
 cycle is quantized to the step grid (one part in ``steps_per_period``).
-The step loop (``_integrate``) walks each period as an on-phase run and an
-off-phase run of constant gate, and performs the float operations of a
-plain per-step loop in the same order, so its records are bit-identical to
-that loop's. Without a load resistor the output update is exactly zero in
+The step loop (``_integrate``) performs the float operations of a plain
+per-step loop in the same order, so its records are bit-identical to that
+loop's. Without a load resistor the output update is exactly zero in
 the on-phase, and in an off-phase that starts with the output on the clamp
 (the spill rule zeroes it there), so those runs step the current alone:
 once an unloaded march reaches the clamp, its output stays there.
@@ -233,21 +232,22 @@ def _integrate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, 
     steps in all, and raises NumericInstabilityError at the first step that
     leaves the finite range.
 
-    Each period is walked as two runs of constant gate, the ``on_steps``
-    on-phase steps and then the off-phase. Each step records the sample it
-    starts from, so every sample a run writes has that run's gate; the
-    gate column is filled by slice. Invariant: every step performs the
-    float operations of the plain per-step loop (``deriv`` twice, a
-    clipped predictor, the trapezoid average, the finiteness check, the
-    clip; tests/helpers.py keeps that loop as ``reference_integrate``) in
-    the same order on the same operands, so the records are bit-identical
-    to it and the error names the same step. Only exact subexpressions
-    are hoisted (``rs + rds``, ``0.5 * h``, ``vin - vf``); a reordering
-    such as ``h / ell`` would change the rounding.
+    Each period is an on-phase of ``on_steps`` steps and then the
+    off-phase; the gate column is filled by slice. Invariant: every step
+    performs the float operations of the plain per-step loop (``deriv``
+    twice, a clipped predictor, the trapezoid average, the finiteness
+    check, the clip; tests/helpers.py keeps that loop as
+    ``reference_integrate``) in the same order on the same operands, so
+    the records are bit-identical to it and the error names the same
+    step. Only exact subexpressions are hoisted (``rs + rds``,
+    ``0.5 * h``, ``vin - vf``); a reordering such as ``h / ell`` would
+    change the rounding.
 
-    Two elisions, both under ``hold_v``: no load, and ``v`` finite, in
-    ``[0, clamp]`` and not ``-0.0`` (which an update by ``+0.0`` turns
-    into ``0.0``); the clip keeps ``v`` there once it starts there.
+    Three step loops walk a period. Two are elisions under ``hold_v``: no
+    load, and ``v`` in ``[0, clamp]`` (the clamp is finite, so NaN and
+    ±inf fail the test) and not ``-0.0`` (which an update by ``+0.0``
+    turns into ``0.0``); the clip keeps ``v`` there once it starts there.
+    They carry nearly every step of a campaign's march and test no gate.
 
     - Unloaded on-phase: the output update ``v + h*(-0.0)`` is exactly
       ``v``, so the current is stepped alone.
@@ -261,6 +261,12 @@ def _integrate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, 
       check fails on it too. A negative start current (only a caller's
       start state can be negative) would move ``v``, so it is stepped in
       full.
+    - Two-state loop: every other step, the current and the output
+      stepped together. It walks the whole period of a loaded circuit, or
+      the off-phase that follows an unloaded on-phase when it is not
+      pinned. It tests the gate at each step (``on = k < on_end``): no
+      benchmark workload runs a loaded circuit, and one loop is less code
+      than one per phase.
 
     ``v_ds`` is computed after stepping, in one numpy pass over the
     finished records: ``i * rds`` where the gate is on, else ``v + vf``
@@ -290,8 +296,7 @@ def _integrate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, 
     clamp = circuit.clamp_voltage
     g_load = 0.0 if circuit.r_load is None else 1.0 / circuit.r_load
     isfinite = math.isfinite
-    hold_v = (circuit.r_load is None and isfinite(v) and 0.0 <= v <= clamp
-              and math.copysign(1.0, v) > 0.0)
+    hold_v = circuit.r_load is None and 0.0 <= v <= clamp and math.copysign(1.0, v) > 0.0
     open_fwd = v_open - clamp > 0.0
     mi, mv = memoryview(i_arr), memoryview(v_arr)
 
@@ -325,30 +330,6 @@ def _integrate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, 
                     raise NumericInstabilityError(k)
                 if i < 0.0:
                     i = 0.0
-        else:
-            for k in range(start, on_end):
-                mi[k] = i
-                mv[k] = v
-                d1i = (vin - i * rsd) / ell
-                d1v = (-v * g_load) / cap
-                pi = i + h * d1i
-                pv = v + h * d1v
-                if pi < 0.0:
-                    pi = 0.0
-                if pv > clamp:
-                    pv = clamp
-                elif pv < 0.0:
-                    pv = 0.0
-                i += hh * (d1i + (vin - pi * rsd) / ell)
-                v += hh * (d1v + (-pv * g_load) / cap)
-                if not (isfinite(i) and isfinite(v)):
-                    raise NumericInstabilityError(k)
-                if i < 0.0:
-                    i = 0.0
-                if v > clamp:
-                    v = clamp
-                elif v < 0.0:
-                    v = 0.0
         if hold_v and v == clamp and i >= 0.0:  # pinned off-phase: v stays on the clamp
             v_arr[on_end:off_end] = v
             for k in range(on_end, off_end):
@@ -370,10 +351,14 @@ def _integrate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, 
                 if i < 0.0:
                     i = 0.0
             continue
-        for k in range(on_end, off_end):
+        for k in range(on_end if hold_v else start, off_end):
             mi[k] = i
             mv[k] = v
-            if i > 0.0 or v_open - v > 0.0:
+            on = k < on_end
+            if on:
+                d1i = (vin - i * rsd) / ell
+                d1v = (-v * g_load) / cap
+            elif i > 0.0 or v_open - v > 0.0:
                 d1v = (i - v * g_load) / cap
                 if v >= clamp and d1v > 0.0:
                     d1v = 0.0  # excess charge spills into the supply
@@ -389,7 +374,10 @@ def _integrate(circuit: CircuitParams, drive: DriveSignal, device: DeviceState, 
                 pv = clamp
             elif pv < 0.0:
                 pv = 0.0
-            if pi > 0.0 or v_open - pv > 0.0:
+            if on:
+                d2i = (vin - pi * rsd) / ell
+                d2v = (-pv * g_load) / cap
+            elif pi > 0.0 or v_open - pv > 0.0:
                 d2v = (pi - pv * g_load) / cap
                 if pv >= clamp and d2v > 0.0:
                     d2v = 0.0

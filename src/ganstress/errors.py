@@ -18,9 +18,9 @@ class DomainDivisionError(GanStressError, ZeroDivisionError):
 class NumericInstabilityError(GanStressError, ArithmeticError):
     """Integration produced a non-finite state; carries the failing step."""
 
-    def __init__(self, step: int, message: str = ""):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"non-finite state at integration step {step}")
+        super().__init__(f"non-finite state at integration step {step}")
 
 
 class InsufficientDataError(GanStressError, ValueError):

@@ -16,7 +16,7 @@ from .converter import SteadyStateMetrics, Waveform, write_waveform_csv
 SUMMARY_HEADER = "cell,v_stress_V,v_max_V,temp_K,slope_ohm_per_ln_min,intercept_ohm,r_squared"
 CELL_CSV_HEADER = "t_min,rds_on_ohm,rds_norm"
 
-EmittableResult = Union[CampaignResult, Waveform, FitResult]
+EmittableResult = Union[CampaignResult, Waveform]
 
 
 def _write_text(path: Path, text: str) -> Path:
@@ -85,6 +85,4 @@ def emit_results(result: EmittableResult, out_dir: Path) -> list[Path]:
         return emit_campaign(result, out_dir)
     if isinstance(result, Waveform):
         return emit_waveform(result, out_dir)
-    if isinstance(result, FitResult):
-        return emit_fit(result, out_dir)
     raise TypeError(f"cannot emit result of type {type(result).__name__}")

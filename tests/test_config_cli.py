@@ -11,7 +11,6 @@ from ganstress import EPC2038, CircuitParams, DegradationParams, DriveSignal, Si
 from ganstress.campaign import CAMPAIGN_DRIVE, CAMPAIGN_SIM, CampaignResult, StressCell, run_matrix
 from ganstress.cli import cli
 from ganstress.config import (
-    apply_overrides,
     config_hash,
     emit_config,
     parse_config,
@@ -194,12 +193,38 @@ def test_non_finite_values_rejected_in_every_field(text, message):
 
 
 def test_overrides_apply_to_sections_and_cells():
-    text = apply_overrides("", ["circuit.vin=12.5", "cell.duty=0.6"])
-    cfg = parse_config(text, "campaign")
+    cfg = parse_config("", "campaign", ["circuit.vin=12.5", "cell.duty=0.6"])
     assert cfg.circuit.vin == 12.5
     assert all(c.duty == 0.6 for c in cfg.cells)
     with pytest.raises(ConfigurationError):
-        apply_overrides("", ["novalue"])
+        parse_config("", "campaign", ["novalue"])
+
+
+_EXPLICIT_CELLS = "cells: [{v_stress: 72, temp_c: 40}, {v_stress: 90, i_drive: 0.3}]\n"
+
+
+@pytest.mark.parametrize("text, overrides, written", [
+    pytest.param("", ["circuit.vin=12.5", "drive.duty=0.6"],
+                 "circuit: {vin: 12.5}\ndrive: {duty: 0.6}\n", id="section-keys"),
+    pytest.param("sim: {n_periods: 80}\n", ["sim.n_periods=90"], "sim: {n_periods: 90}\n",
+                 id="section-key-replaced"),
+    pytest.param("", ["cell.i_drive=0.25"],
+                 "cells: [{v_stress: 60, temp_c: 25, i_drive: 0.25},"
+                 " {v_stress: 85, temp_c: 25, i_drive: 0.25},"
+                 " {v_stress: 110, temp_c: 25, i_drive: 0.25}]\n", id="cell-key-default-cells"),
+    pytest.param(_EXPLICIT_CELLS, ["cell.duty=0.6"],
+                 "cells: [{v_stress: 72, temp_c: 40, duty: 0.6},"
+                 " {v_stress: 90, i_drive: 0.3, duty: 0.6}]\n", id="cell-key-explicit-cells"),
+    pytest.param("circuit:\nsim: {n_periods: 4}\n", ["circuit.vin=5"],
+                 "circuit: {vin: 5}\nsim: {n_periods: 4}\n", id="null-section"),
+])
+def test_overrides_fold_like_the_written_document(text, overrides, written):
+    """An override gives the config (and config hash) of the document with
+    its value written in."""
+    for mode in ("campaign", "simulate"):
+        cfg, want = parse_config(text, mode, overrides), parse_config(written, mode)
+        assert cfg == want
+        assert config_hash(cfg) == config_hash(want)
 
 
 # --- result emission ---------------------------------------------------------
@@ -387,7 +412,7 @@ def test_malformed_document_is_a_configuration_error(text):
     with pytest.raises(ConfigurationError, match="malformed config document"):
         parse_config(text, "simulate")
     with pytest.raises(ConfigurationError, match="malformed config document"):
-        apply_overrides(text, ["circuit.vin=5"])
+        parse_config(text, "simulate", ["circuit.vin=5"])
 
 
 def test_cli_malformed_config_exit_2(tmp_path):
@@ -399,6 +424,24 @@ def test_cli_malformed_config_exit_2(tmp_path):
     assert "malformed config document" in result.output
 
 
+def test_cli_override_into_null_section(tmp_path):
+    """``--set`` into a section the document gives as null runs like the
+    document with the value written in."""
+    runs = {}
+    for name, text, overrides in (
+        ("folded", "circuit:\nsim: {n_periods: 4}\n", ["--set", "circuit.vin=5"]),
+        ("written", "circuit: {vin: 5}\nsim: {n_periods: 4}\n", []),
+    ):
+        config_path = tmp_path / f"{name}.yaml"
+        config_path.write_text(text)
+        out = tmp_path / name
+        result = CliRunner().invoke(cli, ["simulate", "--config", str(config_path),
+                                          "--out", str(out), *overrides])
+        assert result.exit_code == 0, result.output
+        runs[name] = [(p.name, p.read_bytes()) for p in sorted(out.iterdir())]
+    assert runs["folded"] == runs["written"]
+
+
 def test_cli_malformed_override_value_exit_2(tmp_path):
     result = CliRunner().invoke(cli, ["simulate", "--out", str(tmp_path), "--set", "circuit.vin=["])
     assert result.exit_code == 2
@@ -407,7 +450,7 @@ def test_cli_malformed_override_value_exit_2(tmp_path):
 
 def test_overrides_reject_a_non_mapping_root():
     with pytest.raises(ConfigurationError, match="config root must be a mapping"):
-        apply_overrides("- 1\n- 2\n", ["circuit.vin=5"])
+        parse_config("- 1\n- 2\n", "simulate", ["circuit.vin=5"])
 
 
 #: (command, config file bytes or None, overrides, exit code, stderr text)
@@ -432,6 +475,12 @@ BAD_INPUTS = {
                         2, "cells[0]: sample_times[1] must be finite, got nan"),
     "c_in-nan": ("simulate", None, ["circuit.c_in=.nan"], 2,
                  "circuit: c_in must be finite, got nan"),
+    "csv-nan-time": ("fit", b"t_min,rds_on_ohm\n1,3.3\nnan,3.3\n10,3.4\n", [], 2,
+                     "line 3: t must be >= 0 min and finite, got nan"),
+    "csv-inf-rds": ("fit", b"t_min,rds_on_ohm\n1,3.3\n10,inf\n100,3.4\n", [], 2,
+                    "line 3: rds_on must be > 0 and finite, got inf"),
+    "csv-inf-time": ("fit", b"t_min,rds_on_ohm\n1,3.3\ninf,3.3\n10,3.4\n", [], 2,
+                     "line 3: t must be >= 0 min and finite, got inf"),
     "instability": ("simulate", None, ["circuit.l_drain=1e-300", "sim.n_periods=2"], 3,
                     "non-finite state at integration step"),
 }

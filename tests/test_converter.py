@@ -1,5 +1,5 @@
 import io
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -284,6 +284,8 @@ _FORWARD_OPEN = CircuitParams(vin=50.0, v_supply=20.0)
                  _STRESS_5MHZ.clamp_voltage, id="clamped-ccm-5mhz"),
     pytest.param(LOADED_BOOST, DriveSignal(duty=0.5), IDEAL_SWITCH, 1000, 20, 0.0, 10.0,
                  id="loaded-boost"),
+    pytest.param(LOADED_BOOST, DriveSignal(duty=0.5), IDEAL_SWITCH, 1000, 20.3, 0.0, 10.0,
+                 id="loaded-boost-ends-in-on-phase"),
     pytest.param(CircuitParams(series_r=2.0), DriveSignal(), DeviceState(), 1000, 10, 0.0,
                  quiescent_v(CircuitParams()), id="series-r"),
     pytest.param(CircuitParams(r_load=1e3), DriveSignal(duty=0.0), DeviceState(), 400, 10, 0.0,
@@ -362,8 +364,8 @@ def test_kernel_matches_reference_on_random_circuits(vin, stiffness, c_out, v_su
 
 
 def test_instability_reports_step():
-    """A blow-up in either gate phase, or in an off-phase pinned at the
-    clamp, raises at the reference stepper's step."""
+    """A blow-up in either gate phase, loaded or not, or in an off-phase
+    pinned at the clamp, raises at the reference stepper's step."""
     drive = DriveSignal(duty=0.7)
     sim = SimConfig(n_periods=2)
     spp = sim.steps_per_period
@@ -371,6 +373,7 @@ def test_instability_reports_step():
     for circuit, in_on_phase in [
         (CircuitParams(l_drain=1e-300), True),
         (CircuitParams(c_out=1e-320), False),  # the diode current overflows dv = i / c_out
+        (replace(LOADED_BOOST, l_drain=1e-300), True),
     ]:
         with pytest.raises(NumericInstabilityError) as excinfo:
             simulate(circuit, drive, DeviceState(), sim)
