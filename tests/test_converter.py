@@ -3,7 +3,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ganstress import (
@@ -454,6 +454,38 @@ def test_waveform_rejects_non_finite_columns(column, value):
         Waveform(**columns)
 
 
+def test_waveform_rejects_integer_gate():
+    # Indexed by a 0/1 integer gate, i_l[gate] picks samples 0 and 1, not the
+    # on-samples, so the metrics would be wrong: refuse the gate instead.
+    n = 401
+    gate = (np.arange(n) % 100) < 70
+    columns = dict(t=np.arange(n) * 1e-8, v_ds=np.zeros(n), i_l=np.linspace(1.0, 2.0, n),
+                   v_out=np.zeros(n))
+    with pytest.raises(InvalidParameterError, match="gate_on must be boolean"):
+        Waveform(**columns, gate_on=gate.astype(int))
+    w = Waveform(**columns, gate_on=gate)
+    assert _window_metrics(w.v_ds, w.i_l, w.gate_on).i_avg == pytest.approx(w.i_l[gate].mean())
+
+
+def test_waveform_accepts_rounded_times_of_an_offset_grid():
+    # Each time is rounded at the size of 1e3, so a step of 1e-8 varies by
+    # about 1e-5 of itself: uniform up to the rounding of the times.
+    t = 1e3 + np.arange(1000) * 1e-8
+    assert np.ptp(np.diff(t)) > 1e-9 * 1e-8
+    Waveform(t=t, v_ds=np.zeros(1000), i_l=np.zeros(1000), v_out=np.zeros(1000),
+             gate_on=np.zeros(1000, dtype=bool))
+
+
+@pytest.mark.parametrize("start", [0.0, 1e3])
+def test_waveform_rejects_a_step_off_by_one_part_in_a_million(start):
+    dt = np.full(999, 1e-8 if start == 0.0 else 1e-3)
+    dt[500] *= 1.0 + 1e-6
+    t = start + np.concatenate([[0.0], np.cumsum(dt)])
+    with pytest.raises(InvalidParameterError, match="time step must be uniform"):
+        Waveform(t=t, v_ds=np.zeros(1000), i_l=np.zeros(1000), v_out=np.zeros(1000),
+                 gate_on=np.zeros(1000, dtype=bool))
+
+
 def test_waveform_csv_header_and_determinism():
     w, *_ = loaded_boost(0.5, n_periods=5, settle=0.0, spp=100)
     buf1, buf2 = io.StringIO(), io.StringIO()
@@ -480,6 +512,10 @@ def _write(writer, w):
                  id="loaded-boost"),
     pytest.param(_STRESS_5MHZ, DriveSignal(frequency=5e6), DeviceState(),
                  SimConfig(steps_per_period=400, n_periods=60), id="clamped-ccm-5mhz"),
+    pytest.param(CircuitParams(), DriveSignal(frequency=5e6), DeviceState(),
+                 SimConfig(steps_per_period=400), id="default-5mhz-400"),
+    pytest.param(CircuitParams(), DriveSignal(frequency=123457), DeviceState(), SimConfig(),
+                 id="default-123457hz"),
 ])
 def test_waveform_csv_matches_reference_writer(circuit, drive, device, sim):
     w = simulate(circuit, drive, device, sim)
@@ -506,6 +542,38 @@ def test_waveform_csv_matches_reference_on_built_waveforms(n, dt, palettes, seed
     v_ds, i_l, v_out = (np.array(p)[rng.integers(len(p), size=n)] for p in palettes)
     i_l = np.where(i_l < 0.0, -i_l, i_l)  # the waveform rejects i_l < 0; -0.0 passes
     w = Waveform(t=np.arange(n) * dt, v_ds=v_ds, i_l=i_l, v_out=v_out,
+                 gate_on=rng.integers(2, size=n).astype(bool))
+    assert _write(write_waveform_csv, w) == _write(reference_write_waveform_csv, w)
+
+
+# Time steps m * 10**e: small mantissas over exponents that take a run
+# across the 1e-4 switch to fixed-point, or up to and past 1e16, and one
+# 16-digit step just past the 15 digits that a double always round-trips.
+_DECIMAL_STEPS = st.one_of(
+    st.tuples(st.sampled_from([1, 2, 5, 25, 125, 3]), st.integers(-10, 0)),
+    st.tuples(st.sampled_from([1, 2, 5, 25, 125, 3]), st.integers(11, 13)),
+    st.just((1234567890123457, -16)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(step=_DECIMAL_STEPS, start=st.sampled_from([0.0, -0.0, 1e3, 0.25]),
+       n=st.sampled_from([1, 2, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS + 1]),
+       seed=st.integers(0, 2**32 - 1))
+@example(step=(1, -7), start=0.0, n=_CSV_CHUNK_ROWS + 1, seed=0)  # crosses 1e-4
+@example(step=(1, 13), start=0.0, n=_CSV_CHUNK_ROWS - 1, seed=0)  # crosses 1e16
+@example(step=(1234567890123457, -16), start=0.0, n=_CSV_CHUNK_ROWS - 1, seed=0)
+@example(step=(1, -1), start=0.0, n=_CSV_CHUNK_ROWS - 1, seed=0)  # one decimal place
+@example(step=(1, -23), start=0.0, n=_CSV_CHUNK_ROWS - 1, seed=0)  # 10.0**23 is inexact
+def test_waveform_csv_time_column_matches_reference(step, start, n, seed):
+    """Times on a grid of decimal steps, mostly exact short decimals that
+    the writer builds from integers, written as the reference writes them."""
+    m, e = step
+    h = m / 10.0**-e if e < 0 else m * 10.0**e  # the correctly rounded m * 10**e
+    t = start + np.arange(n) * h
+    t[0] = start  # keeps a -0.0 start
+    rng = np.random.default_rng(seed)
+    w = Waveform(t=t, v_ds=rng.normal(size=n), i_l=np.zeros(n), v_out=np.ones(n),
                  gate_on=rng.integers(2, size=n).astype(bool))
     assert _write(write_waveform_csv, w) == _write(reference_write_waveform_csv, w)
 
