@@ -9,13 +9,13 @@ on-state conduction drop plus the off-state transition term:
 triangular rise/fall transition, approaching 1 when the output diode holds
 the drain at v_max for the whole off-time. Inverting the relation for
 rds_on gives the extraction used on measured (or simulated) waveforms.
+Series files are read and written by ``results``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from .errors import (
     InvalidParameterError,
     require_finite,
 )
-
-RDS_CSV_HEADER = "t_min,rds_on_ohm"
 
 
 @dataclass(frozen=True)
@@ -138,44 +136,3 @@ def fit_log_time(samples: list[RdsSample]) -> FitResult:
         r_squared = min(max(r_squared, 0.0), 1.0)
     return FitResult(slope=slope, intercept=intercept, r_squared=r_squared,
                      n=len(kept), n_dropped=n_dropped)
-
-
-def fit_report(fit: FitResult) -> str:
-    """Flat key-value record of a fit."""
-    lines = [
-        f"slope = {fit.slope!r}",
-        f"intercept = {fit.intercept!r}",
-        f"r_squared = {fit.r_squared!r}",
-        f"n = {fit.n}",
-        f"slope_log10 = {fit.slope_log10!r}",
-    ]
-    if fit.n_dropped:
-        lines.append(f"n_dropped = {fit.n_dropped}")
-    return "\n".join(lines) + "\n"
-
-
-def write_rds_csv(samples: Iterable[RdsSample], stream: TextIO) -> None:
-    stream.write(RDS_CSV_HEADER + "\n")
-    for s in samples:
-        stream.write(f"{s.t!r},{s.rds_on!r}\n")
-
-
-def read_rds_csv(stream: TextIO) -> list[RdsSample]:
-    header = stream.readline().strip()
-    if header != RDS_CSV_HEADER:
-        raise InvalidParameterError(
-            f"expected header {RDS_CSV_HEADER!r}, got {header!r}"
-        )
-    samples = []
-    for lineno, line in enumerate(stream, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise InvalidParameterError(f"line {lineno}: expected two columns, got {line!r}")
-        try:
-            samples.append(RdsSample(float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise InvalidParameterError(f"line {lineno}: {exc}") from exc
-    return samples

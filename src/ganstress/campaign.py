@@ -14,7 +14,9 @@ topology (the current reaches zero, the output leaves the clamp) or the
 step is too stiff for the closed form, it falls back to marching
 ``sim.n_periods`` periods and averaging the part after
 ``sim.settle_fraction``; each fallback is recorded in the cell's
-``quality_flags`` with the sample index, or "tuning", and the event.
+``quality_flags`` with the sample index, or "tuning", and the event. That
+window is not checked for periodicity, and in discontinuous conduction it
+is mostly still a transient (the 120 V / 0.25 A cells of a wide grid).
 
 Operating regime: the campaign drives the converter in continuous
 conduction with the output pinned at the stress level, so the drain sits at

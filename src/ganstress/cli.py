@@ -13,13 +13,13 @@ from pathlib import Path
 
 import click
 
-from .analysis import extract_rds_on, fit_log_time, fit_report, read_rds_csv
+from .analysis import extract_rds_on, fit_log_time
 from .campaign import run_matrix
 from .config import RunConfig, config_hash, parse_config
 from .converter import simulate, steady_state_metrics
 from .device import DeviceState
 from .errors import GanStressError, InvalidParameterError, NumericInstabilityError
-from .results import emit_fit, emit_metrics, emit_results
+from .results import emit_fit, emit_metrics, emit_results, fit_report, read_rds_csv
 
 EXIT_VALIDATION = 2
 EXIT_INSTABILITY = 3

@@ -47,7 +47,11 @@ its second period on). The two entry points:
   period in closed form, stepping nothing. It falls back to the march
   above when the orbit leaves that topology or the step is too stiff for
   the closed form (see its docstring). ``n_periods`` and
-  ``settle_fraction`` apply only to ``simulate`` and that fallback.
+  ``settle_fraction`` apply only to ``simulate`` and that fallback, which
+  averages its window unchecked: in discontinuous conduction the march
+  has mostly not reached a repeating period, so it measures a transient.
+
+Files are written by ``results``.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, fields
-from typing import Optional, TextIO
+from typing import Optional
 
 import numpy as np
 
@@ -68,20 +72,8 @@ from .errors import (
     require_finite,
 )
 
-WAVEFORM_CSV_HEADER = "t_s,v_ds_V,i_l_A,v_out_V,gate_on"
-
 #: Bit layout of an integrator state ``(i, v)``, for the period-repeat check.
 _STATE_BITS = struct.Struct("dd")
-
-#: Rows per ``stream.write`` of ``write_waveform_csv``.
-_CSV_CHUNK_ROWS = 4096
-
-#: Text of the last two digits ``r`` of an integer-built time (see
-#: ``write_waveform_csv``), trailing zeros stripped; ``r = 0`` is unused.
-_TIME_SUFFIX = np.array([f"{r:02d}".rstrip("0") for r in range(100)], dtype=object)
-
-#: Text of the gate column, indexed by the gate state.
-_GATE_TEXT = np.array(["0", "1"], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -597,79 +589,3 @@ def periodic_steady_state(circuit: CircuitParams, drive: DriveSignal, device: De
     if isinstance(solved, str):
         return steady_state_metrics(simulate(circuit, drive, device, sim), sim), solved
     return solved[1], None
-
-
-def _distinct_reprs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``repr`` of each distinct bit pattern of ``a`` (so ``0.0`` and
-    ``-0.0`` stay apart), and the index of each element's pattern."""
-    _, first, inverse = np.unique(a.view(f"u{a.itemsize}"), return_index=True, return_inverse=True)
-    return np.array([repr(x) for x in a[first].tolist()], dtype=object), inverse
-
-
-def _decimal_places(x: float) -> int:
-    """Digits after the point of ``x`` written out as its ``repr`` decimal
-    (``1e-08`` -> 8, ``2.5e-07`` -> 8, ``0.0125`` -> 4, ``1e+16`` -> -16)."""
-    mantissa, _, exponent = repr(float(x)).partition("e")
-    return len(mantissa.partition(".")[2]) - int(exponent or 0)
-
-
-def _time_head(q: int, p: int) -> tuple[str, str]:
-    """The text around the last two digits of ``repr((100*q + r) / 10.0**p)``
-    for ``1 <= q < 10**13``, ``1 <= r <= 99`` and ``p >= 2``: everything
-    before them, and the exponent after them (empty in fixed-point)."""
-    s = str(q)
-    if len(s) + 5 >= p:  # the value is >= 1e-4: fixed-point
-        s = s.rjust(p - 1, "0")
-        cut = len(s) - (p - 2)
-        return s[:cut] + "." + s[cut:], ""
-    return s[0] + "." + s[1:], f"e-{p - 1 - len(s):02d}"
-
-
-def _time_texts(t: np.ndarray, p: int) -> list[str]:
-    """``repr`` of each time in ``t``, built from integers where ``t[k]`` is
-    the correctly rounded ``N * 10**-p`` (see ``write_waveform_csv``)."""
-    scale = 10.0 ** p
-    x = np.rint(np.clip(t, 0.0, 2.0**53 / scale) * scale)  # finite, and exact as an integer
-    fast = (x >= 100.0) & (x < 1e15) & (np.fmod(x, 100.0) != 0.0) & (x / scale == t)
-    text = np.empty(len(t), dtype=object)
-    slow = ~fast
-    text[slow] = [repr(v) for v in t[slow].tolist()]
-    if fast.any():
-        q, r = np.divmod(x[fast].astype(np.int64), 100)
-        new = np.concatenate(([True], q[1:] != q[:-1]))
-        heads, tails = np.array([_time_head(v, p) for v in q[new].tolist()], dtype=object).T
-        run = np.cumsum(new) - 1
-        text[fast] = heads[run] + _TIME_SUFFIX[r] + tails[run]
-    return text.tolist()
-
-
-def write_waveform_csv(w: Waveform, stream: TextIO) -> None:
-    """Write the exact waveform CSV format (gate_on encoded as 1/0).
-
-    Every float is written as its ``repr``, the shortest string that reads
-    back to the same float. The ``repr`` of a ``v_ds`` / ``i_l`` / ``v_out``
-    value is computed once per distinct bit pattern (a marched run repeats
-    few values). A time is built from integers when it is an exact short
-    decimal: with ``p`` the decimal places of ``repr(t[1])`` (from 2 to 22,
-    so ``10.0**p`` is exact) and ``N = rint(t * 10**p)``, when
-    ``100 <= N < 10**15``, ``N % 100 != 0`` and ``N / 10.0**p == t``
-    bitwise. That division of two exact operands is correctly rounded, and
-    no other decimal of at most 15 significant digits rounds to the same
-    double, so ``repr`` prints ``N * 10**-p`` with trailing zeros stripped:
-    the text of ``N // 100`` (one per distinct value) plus that of the last
-    two digits (a table), in ``repr``'s layout, scientific below 1e-4 (the
-    value is below 1e13, so the switch at 1e16 is never reached). Every
-    other time (zero, negative, or not such a decimal) is written by ``repr``.
-    Rows are written in chunks of ``_CSV_CHUNK_ROWS``, so no whole-file
-    string is built.
-    """
-    stream.write(WAVEFORM_CSV_HEADER + "\n")
-    p = _decimal_places(w.t[1]) if len(w) >= 2 else 0
-    columns = [_distinct_reprs(a) for a in (w.v_ds, w.i_l, w.v_out)]
-    for lo in range(0, len(w), _CSV_CHUNK_ROWS):
-        hi = lo + _CSV_CHUNK_ROWS
-        t = w.t[lo:hi]
-        times = _time_texts(t, p) if 2 <= p <= 22 else list(map(repr, t.tolist()))
-        rows = zip(times, *(text[index[lo:hi]].tolist() for text, index in columns),
-                   _GATE_TEXT[w.gate_on[lo:hi].astype(np.intp)].tolist())
-        stream.write("\n".join(map(",".join, rows)) + "\n")

@@ -8,8 +8,9 @@ from typing import TextIO
 import numpy as np
 
 from ganstress import CircuitParams, DeviceState, DriveSignal, SimConfig, Waveform
-from ganstress.converter import WAVEFORM_CSV_HEADER, settle_start_index
+from ganstress.converter import settle_start_index
 from ganstress.errors import NumericInstabilityError
+from ganstress.results import WAVEFORM_CSV_HEADER
 
 
 def worst_volt_second(w: Waveform, sim: SimConfig, circuit: CircuitParams) -> float:

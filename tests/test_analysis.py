@@ -16,18 +16,13 @@ from ganstress import (
     predict_avg_vin,
     stress_slope,
 )
-from ganstress.analysis import (
-    RDS_CSV_HEADER,
-    fit_report,
-    read_rds_csv,
-    write_rds_csv,
-)
 from ganstress.errors import (
     DegenerateRegressionError,
     DomainDivisionError,
     InsufficientDataError,
     InvalidParameterError,
 )
+from ganstress.results import RDS_CSV_HEADER, fit_report, read_rds_csv
 
 
 def test_predict_reported_operating_point():
@@ -186,9 +181,7 @@ def test_fit_report_record_keys():
 
 def test_rds_csv_round_trip():
     samples = [RdsSample(1.0, 3.39), RdsSample(10.0, 3.56), RdsSample(100.0, 3.61)]
-    buf = io.StringIO()
-    write_rds_csv(samples, buf)
-    text = buf.getvalue()
+    text = "t_min,rds_on_ohm\n1.0,3.39\n10.0,3.56\n100.0,3.61\n"
     assert text.splitlines()[0] == RDS_CSV_HEADER
     assert read_rds_csv(io.StringIO(text)) == samples
 
@@ -203,6 +196,17 @@ def test_rds_csv_rejects_bad_row():
         read_rds_csv(io.StringIO(RDS_CSV_HEADER + "\n1.0\n"))
     with pytest.raises(InvalidParameterError):
         read_rds_csv(io.StringIO(RDS_CSV_HEADER + "\n1.0,abc\n"))
+
+
+def test_rds_csv_reads_campaign_cell_columns():
+    cell = "t_min,rds_on_ohm,rds_norm\n1.0,3.3,1.0\n10.0,3.63,1.1\n"
+    assert read_rds_csv(io.StringIO(cell)) == [RdsSample(1.0, 3.3), RdsSample(10.0, 3.63)]
+    with pytest.raises(InvalidParameterError, match="expected 3 columns"):
+        read_rds_csv(io.StringIO("t_min,rds_on_ohm,rds_norm\n1.0,3.3\n"))
+    with pytest.raises(InvalidParameterError, match="expected 2 columns"):
+        read_rds_csv(io.StringIO(RDS_CSV_HEADER + "\n1.0,3.3,1.0\n"))
+    with pytest.raises(InvalidParameterError, match="rds_norm"):
+        read_rds_csv(io.StringIO("time,ohms\n1.0,3.3\n"))
 
 
 def test_sample_invariants():

@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import hashlib
 
 import click
 import numpy as np
@@ -382,6 +383,64 @@ def test_cli_campaign_small_run(tmp_path):
     fields = summary[1].split(",")
     assert fields[0] == "cell00"
     assert float(fields[1]) == 60.0
+
+
+@pytest.fixture(scope="module")
+def default_outputs(tmp_path_factory):
+    """``campaign`` and ``simulate`` at the defaults, each into its own directory."""
+    runs = {}
+    for command in ("campaign", "simulate"):
+        out = tmp_path_factory.mktemp(command)
+        result = CliRunner().invoke(cli, [command, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        runs[command] = (out, result.output)
+    return runs
+
+
+#: SHA-256 (first 16 hex digits) of each file the default commands write.
+#: A change that alters these bytes on purpose updates the digests here and
+#: gives its reason in CHANGES.md.
+DEFAULT_OUTPUT_DIGESTS = {
+    "campaign": {"cell00.csv": "7d7fd9accd5f27b1", "cell01.csv": "22cc00616c4a94bf",
+                 "cell02.csv": "a12f8bfd30dffbb1", "summary.csv": "10b9dcc218bdd702"},
+    "simulate": {"waveform.csv": "443e4efeb6275356", "metrics.txt": "c0566e977bc5950a"},
+}
+
+
+def test_default_output_bytes_are_pinned(default_outputs):
+    """The default ``campaign`` and ``simulate`` files keep their exact bytes."""
+    for command, digests in DEFAULT_OUTPUT_DIGESTS.items():
+        out, _ = default_outputs[command]
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in out.iterdir()}
+        assert got == digests, command
+
+
+def test_cli_fit_reads_campaign_cell_csv(default_outputs):
+    """``fit`` on a campaign cell CSV reproduces that cell's summary row."""
+    out, _ = default_outputs["campaign"]
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    for row in rows:
+        cell, *_, slope, intercept, r_squared = row.split(",")
+        result = CliRunner().invoke(cli, ["fit", str(out / f"{cell}.csv")])
+        assert result.exit_code == 0, result.output
+        record = dict(line.split(" = ") for line in result.output.splitlines())
+        assert (record["slope"], record["intercept"], record["r_squared"]) == (
+            slope, intercept, r_squared)
+
+
+def test_campaign_ignores_drive_duty(default_outputs, tmp_path):
+    """Each cell drives its own ``duty``: ``drive.duty`` moves only the config hash."""
+    out, output = default_outputs["campaign"]
+    result = CliRunner().invoke(cli, ["campaign", "--out", str(tmp_path),
+                                      "--set", "drive.duty=0.3"])
+    assert result.exit_code == 0, result.output
+    assert output.splitlines()[0] == "config_hash = e8aac365b8fb0f1a"
+    assert result.output.splitlines()[0] == "config_hash = 319c39bcd72e57e9"
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in tmp_path.iterdir())
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def wide_grid_config() -> str:

@@ -18,20 +18,14 @@ from ganstress import (
     simulate,
     steady_state_metrics,
 )
-from ganstress.converter import (
-    _CSV_CHUNK_ROWS,
-    WAVEFORM_CSV_HEADER,
-    _integrate,
-    _solve_orbit,
-    _window_metrics,
-    write_waveform_csv,
-)
+from ganstress.converter import _integrate, _solve_orbit, _window_metrics
 from ganstress.errors import (
     DomainDivisionError,
     InsufficientDataError,
     InvalidParameterError,
     NumericInstabilityError,
 )
+from ganstress.results import _CSV_CHUNK_ROWS, WAVEFORM_CSV_HEADER, write_waveform_csv
 from helpers import (
     reference_integrate,
     reference_write_waveform_csv,
