@@ -30,7 +30,6 @@ from .converter import (
 )
 from .degradation import (
     DegradationParams,
-    apply_stress_step,
     delta_r_fraction,
     stress_slope,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "SteadyStateMetrics",
     "StressCell",
     "Waveform",
-    "apply_stress_step",
     "check_soa",
     "delta_r_fraction",
     "extract_rds_on",

@@ -1,10 +1,11 @@
 """Reverse-bias stress campaigns: a matrix of (voltage, temperature) cells.
 
-Each cell alternates closed-form degradation marching with a periodic
-simulated measurement: the converter's periodic steady state is solved with
-the degraded on-resistance, its metrics are taken, and the on-resistance is
-extracted back from the averaged drain voltage. Fitting the extracted
-series against ln(t) reproduces the log-time analysis pipeline.
+At each sample time a cell evaluates the closed-form degradation law and
+takes a simulated measurement: the converter's periodic steady state is
+solved with the degraded on-resistance, its metrics are taken, and the
+on-resistance is extracted back from the averaged drain voltage. Fitting
+the extracted series against ln(t) reproduces the log-time analysis
+pipeline.
 
 Measurement: ``periodic_steady_state`` computes the periodic orbit in
 closed form while conduction is continuous and the output stays on the
@@ -45,7 +46,7 @@ from .converter import (
     SimConfig,
     periodic_steady_state,
 )
-from .degradation import DegradationParams, apply_stress_step
+from .degradation import DegradationParams, delta_r_fraction
 from .device import DeviceRatings, DeviceState, SoaViolation, check_soa
 from .errors import GanStressError, InvalidParameterError, require_finite
 
@@ -198,10 +199,11 @@ def tune_vin(cell: StressCell, circuit: CircuitParams, drive: DriveSignal,
 def run_cell(cell: StressCell, circuit: CircuitParams, drive: DriveSignal,
              ratings: DeviceRatings, deg: DegradationParams,
              sim: SimConfig = CAMPAIGN_SIM) -> CellResult:
-    """Run one stress cell: degradation march + periodic steady-state extraction.
+    """Run one stress cell: degradation law + periodic steady-state extraction.
 
     Degradation is evaluated at the cell's stress level (the clamp pins the
-    measured v_max there). SOA violations are recorded per sample and the
+    measured v_max there) and at each sample time, never below the previous
+    sample's fraction. SOA violations are recorded per sample and the
     run continues. Any workbench error aborts the cell: ``abort_reason``
     names the stage ("circuit set-up", "drive tuning" or "sample N (t = T
     min)"), and the samples, flags and SOA records taken before it are kept,
@@ -221,11 +223,11 @@ def run_cell(cell: StressCell, circuit: CircuitParams, drive: DriveSignal,
         stage = "drive tuning"
         vin = tune_vin(cell, circ, drv, state, sim, flags=flags)
         circ = replace(circ, vin=vin)
-        t_prev = 0.0
         for idx, t_k in enumerate(cell.schedule()):
             stage = f"sample {idx} (t = {t_k:g} min)"
-            state = apply_stress_step(state, deg, cell.v_stress, cell.temp, t_k - t_prev)
-            t_prev = t_k
+            # max(new, old): a NaN law value reaches DeviceState, which refuses it
+            state = DeviceState(rds_on_nominal=state.rds_on_nominal, delta_r_fraction=max(
+                delta_r_fraction(deg, cell.v_stress, cell.temp, t_k), state.delta_r_fraction))
             m, fallback = periodic_steady_state(circ, drv, state, sim)
             if fallback is not None:
                 flags.append(f"{stage}: marched steady state ({fallback})")

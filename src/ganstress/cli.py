@@ -113,7 +113,11 @@ def campaign(config_path, out, overrides, seed):
 @click.argument("csv_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out", default=None, help="Also write fit.txt into this directory.")
 def fit(csv_path, out):
-    """Fit an on-resistance CSV (t_min,rds_on_ohm) against ln(t)."""
+    """Fit an on-resistance series against ln(t).
+
+    Reads a series CSV (t_min,rds_on_ohm) or a campaign cell CSV
+    (t_min,rds_on_ohm,rds_norm), from its first two columns.
+    """
     with _exit_codes():
         result = fit_log_time(read_rds_csv(io.StringIO(_read_text(csv_path))))
         text = fit_report(result)

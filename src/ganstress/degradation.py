@@ -15,6 +15,10 @@ coefficient over any realistic junction temperature range. Switching
 frequency and current do not change the slope; they only shift the curve
 vertically, which is what ``vertical_offset`` models.
 
+The law is a pure function of (V, T, t): it holds no device state. A
+campaign cell evaluates it at each sample time and keeps the device's
+fraction from falling (``campaign.run_cell``).
+
 Natural logarithms are used throughout.
 """
 
@@ -23,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .device import DeviceState
 from .errors import InvalidParameterError, require_finite
 
 #: Boltzmann constant in eV/K.
@@ -86,20 +89,3 @@ def delta_r_fraction(params: DegradationParams, v_ds: float, temp: float, t: flo
         raise InvalidParameterError(f"t must be >= 0 min, got {t}")
     return stress_slope(params, v_ds, temp) * math.log1p(t / params.t0) + params.vertical_offset
 
-
-def apply_stress_step(state: DeviceState, params: DegradationParams,
-                      v_ds: float, temp: float, dt: float) -> DeviceState:
-    """Advance a device state by ``dt`` minutes at a fixed stress condition.
-
-    Time-marching wrapper around the closed-form law: successive steps at the
-    same (V, T) land exactly on the closed form at the accumulated time. The
-    delta-R fraction never decreases, even if the stress condition is relaxed
-    mid-campaign; a NaN law value passes through ``max`` to DeviceState, which
-    refuses it.
-    """
-    if not dt > 0.0:
-        raise InvalidParameterError(f"dt must be > 0 min, got {dt}")
-    t_new = state.stress_time + dt
-    delta = delta_r_fraction(params, v_ds, temp, t_new)
-    return DeviceState(rds_on_nominal=state.rds_on_nominal, stress_time=t_new,
-                       delta_r_fraction=max(delta, state.delta_r_fraction))

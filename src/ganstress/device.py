@@ -59,26 +59,24 @@ EPC2038 = DeviceRatings()
 
 @dataclass(frozen=True)
 class DeviceState:
-    """Live state of one switch: accumulated degradation and stress time.
+    """Live state of one switch: its accumulated degradation.
 
     ``delta_r_fraction`` is the accumulated relative on-resistance increase
-    (dimensionless, never decreasing over a campaign); ``stress_time`` is in
-    minutes under the current stress condition.
+    (dimensionless; a campaign cell never lets it fall between samples).
     """
 
     rds_on_nominal: float = DeviceRatings.rds_on_nominal
     delta_r_fraction: float = 0.0
-    stress_time: float = 0.0
 
     def __post_init__(self):
         if not (self.rds_on_nominal > 0.0 and math.isfinite(self.rds_on_nominal)):
             raise InvalidParameterError(
                 f"rds_on_nominal must be positive and finite, got {self.rds_on_nominal}"
             )
-        for name in ("delta_r_fraction", "stress_time"):
-            value = getattr(self, name)
-            if not (value >= 0.0 and math.isfinite(value)):
-                raise InvalidParameterError(f"{name} must be >= 0 and finite, got {value}")
+        if not (self.delta_r_fraction >= 0.0 and math.isfinite(self.delta_r_fraction)):
+            raise InvalidParameterError(
+                f"delta_r_fraction must be >= 0 and finite, got {self.delta_r_fraction}"
+            )
 
     @property
     def rds_on(self) -> float:

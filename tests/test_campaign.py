@@ -12,7 +12,7 @@ from ganstress import (
     RdsSample,
     SimConfig,
     StressCell,
-    apply_stress_step,
+    delta_r_fraction,
     extract_rds_on,
     fit_log_time,
     periodic_steady_state,
@@ -89,6 +89,22 @@ def test_fit_tracks_degradation_slope(cell60_result):
     assert fit.r_squared >= 0.99
 
 
+def test_recovered_slope_is_explained_by_the_log_time_regressor():
+    """The ln(t) fit of each default cell recovers the injected slope times
+    the ln(t) slope of ln(1 + t/t0) over the schedule; refitting against
+    ln(1 + t/t0) recovers the injected slope itself."""
+    cfg = parse_config("", "campaign")
+    result = run_matrix(cfg.cells, cfg.circuit, cfg.drive, cfg.ratings, cfg.degradation, cfg.sim)
+    t0 = cfg.degradation.t0
+    for res in result.cells:
+        injected = cfg.ratings.rds_on_nominal * stress_slope(cfg.degradation, res.cell.v_stress,
+                                                             res.cell.temp)
+        regressor = fit_log_time([RdsSample(t, np.log1p(t / t0)) for t in res.cell.schedule()])
+        assert res.fit.slope / injected == pytest.approx(regressor.slope, rel=1e-9)
+        refit = fit_log_time([RdsSample(1.0 + s.t / t0, s.rds_on) for s in res.samples])
+        assert refit.slope == pytest.approx(injected, rel=1e-11)
+
+
 def test_slopes_ordered_by_stress_voltage(cell60_result):
     res85 = run_cell(make_cell(85.0), CIRCUIT, CAMPAIGN_DRIVE, EPC2038, DEG_DEFAULTS, CAMPAIGN_SIM)
     res110 = run_cell(make_cell(110.0), CIRCUIT, CAMPAIGN_DRIVE, EPC2038, DEG_DEFAULTS, CAMPAIGN_SIM)
@@ -151,7 +167,7 @@ def test_failure_at_a_sample_keeps_what_was_measured(monkeypatch, dcm_cell_resul
     sample_calls = []
 
     def failing(circuit, drive, device, sim):
-        if device.stress_time > 0.0:   # tuning measures the fresh device
+        if device.delta_r_fraction > 0.0:   # tuning measures the fresh device
             sample_calls.append(device)
             if len(sample_calls) == k + 1:
                 raise InsufficientDataError("injected")
@@ -186,6 +202,35 @@ def test_failing_cell_names_its_stage_and_spares_the_next(bad, reason):
     assert aborted.samples == [] and aborted.fit is None
     assert good == run_cell(good_cell, CIRCUIT, CAMPAIGN_DRIVE, EPC2038, DEG_DEFAULTS,
                             CAMPAIGN_SIM)
+
+
+def test_nan_law_value_aborts_the_sample():
+    """Finite parameters can still make the law NaN: a knee width so small
+    that the softplus gate overflows, times b = 0. The cell must refuse it at
+    the first sample, not keep the fresh device's fraction."""
+    deg = DegradationParams(a=0.01, b=0.0, alpha=1e-310)
+    assert np.isnan(stress_slope(deg, 110.0, 298.15))
+    cell = make_cell(110.0, times=(1.0, 10.0))
+    res = run_cell(cell, CIRCUIT, CAMPAIGN_DRIVE, EPC2038, deg, CAMPAIGN_SIM)
+    assert res.aborted
+    assert res.abort_reason == (
+        "sample 0 (t = 1 min): delta_r_fraction must be >= 0 and finite, got nan")
+    assert res.samples == [] and res.fit is None
+
+
+def test_negative_law_keeps_the_fresh_device():
+    """A law with a negative slope never lowers the device's fraction below
+    the previous sample's: every sample measures the fresh device."""
+    deg = DegradationParams(a=-1.0)
+    assert stress_slope(deg, 110.0, 298.15) < -0.98
+    cell = make_cell(110.0)
+    res = run_cell(cell, CIRCUIT, CAMPAIGN_DRIVE, EPC2038, deg, CAMPAIGN_SIM)
+    fresh = run_cell(cell, CIRCUIT, CAMPAIGN_DRIVE, EPC2038, DegradationParams(b=0.0),
+                     CAMPAIGN_SIM)
+    assert not res.aborted and not res.quality_flags
+    assert len({s.rds_on for s in res.samples}) == 1
+    assert res.samples == fresh.samples and res.fit == fresh.fit
+    assert abs(res.fit.slope) <= 1e-15 and res.fit.r_squared == 0.0
 
 
 def test_default_schedule_is_log_spaced():
@@ -288,10 +333,10 @@ def test_dcm_cell_falls_back_to_the_exact_march(monkeypatch):
     circ = replace(cell_circuit(cell, CIRCUIT), vin=res.vin_tuned)
     state = DeviceState(rds_on_nominal=EPC2038.rds_on_nominal)
     expected = []
-    t_prev = 0.0
     for t in cell.schedule():
-        state = apply_stress_step(state, DEG_DEFAULTS, cell.v_stress, cell.temp, t - t_prev)
-        t_prev = t
+        state = DeviceState(rds_on_nominal=state.rds_on_nominal,
+                            delta_r_fraction=delta_r_fraction(DEG_DEFAULTS, cell.v_stress,
+                                                              cell.temp, t))
         w = simulate(circ, CAMPAIGN_DRIVE, state, CAMPAIGN_SIM)
         m = steady_state_metrics(w, CAMPAIGN_SIM)
         r = extract_rds_on(m.v_in_avg, m.v_max, cell.duty, m.i_avg, cell.shape_factor)

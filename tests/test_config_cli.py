@@ -429,14 +429,30 @@ def test_cli_fit_reads_campaign_cell_csv(default_outputs):
             slope, intercept, r_squared)
 
 
-def test_campaign_ignores_drive_duty(default_outputs, tmp_path):
-    """Each cell drives its own ``duty``: ``drive.duty`` moves only the config hash."""
+@pytest.mark.parametrize("override, config_hash", [
+    # ignored in campaign mode: tuning sets vin, cell_circuit replaces
+    # v_supply and r_load, each cell drives its own duty
+    ("circuit.vin=20", "f3f4e44dcd774878"),
+    ("circuit.v_supply=50", "ab47da29b4a2e4f6"),
+    ("circuit.r_load=1k", "65e5821c477c59a4"),
+    ("drive.duty=0.3", "319c39bcd72e57e9"),
+    # read by no computation in either mode
+    ("circuit.c_in=1n", "691c1a4fc9e98304"),
+    ("drive.v_gate_high=6", "5e404a474ab5c947"),
+    ("drive.v_gate_low=-1", "e2472f215e0dbf77"),
+    ("device.vgs_max=5", "b8a020d3ca7f9fc3"),
+    ("device.vgs_min=-4", "c9f7ac0cb38ab204"),
+    ("device.vds_max_continuous=90", "52b7ba27e29b272f"),
+])
+def test_campaign_ignores_drive_duty(default_outputs, tmp_path, override, config_hash):
+    """Keys a campaign does not use move only the config hash."""
     out, output = default_outputs["campaign"]
-    result = CliRunner().invoke(cli, ["campaign", "--out", str(tmp_path),
-                                      "--set", "drive.duty=0.3"])
+    result = CliRunner().invoke(cli, ["campaign", "--out", str(tmp_path), "--set", override])
     assert result.exit_code == 0, result.output
     assert output.splitlines()[0] == "config_hash = e8aac365b8fb0f1a"
-    assert result.output.splitlines()[0] == "config_hash = 319c39bcd72e57e9"
+    assert result.output.splitlines()[0] == f"config_hash = {config_hash}"
+    echoed = result.output.replace(str(tmp_path), str(out))
+    assert echoed.splitlines()[1:] == output.splitlines()[1:]
     names = sorted(p.name for p in out.iterdir())
     assert names == sorted(p.name for p in tmp_path.iterdir())
     for name in names:

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from ganstress import (
     DegradationParams,
-    DeviceState,
-    apply_stress_step,
     delta_r_fraction,
     stress_slope,
 )
@@ -107,54 +105,15 @@ def test_vertical_offset_shifts_curve_only():
     assert stress_slope(offset, 100.0, 298.15) == stress_slope(DEFAULTS, 100.0, 298.15)
 
 
-def test_apply_stress_step_no_degradation_when_b_zero():
-    state = DeviceState()
-    params = DegradationParams(b=0.0)
-    out = apply_stress_step(state, params, 100.0, 298.15, 10.0)
-    assert out.delta_r_fraction == 0.0
-    assert out.stress_time == 10.0
+def test_delta_zero_when_b_zero():
+    assert delta_r_fraction(DegradationParams(b=0.0), 100.0, 298.15, 10.0) == 0.0
 
 
-def test_apply_stress_step_split_equals_single_step():
-    state = DeviceState()
-    one = apply_stress_step(state, DEFAULTS, 100.0, 298.15, 100.0)
-    two = apply_stress_step(
-        apply_stress_step(state, DEFAULTS, 100.0, 298.15, 50.0), DEFAULTS, 100.0, 298.15, 50.0
-    )
-    assert abs(one.delta_r_fraction - two.delta_r_fraction) <= 1e-12
-    assert one.stress_time == two.stress_time == 100.0
-
-
-def test_apply_stress_step_sequence_concave_increasing():
-    state = DeviceState()
-    deltas = []
-    for _ in range(12):
-        state = apply_stress_step(state, DEFAULTS, 100.0, 298.15, 1.0)
-        deltas.append(state.delta_r_fraction)
+def test_delta_concave_increasing_on_a_unit_schedule():
+    deltas = [delta_r_fraction(DEFAULTS, 100.0, 298.15, float(t)) for t in range(1, 13)]
     increments = [b - a for a, b in zip(deltas, deltas[1:])]
     assert all(d > 0 for d in increments)
     assert all(b < a for a, b in zip(increments, increments[1:]))
-
-
-def test_apply_stress_step_never_decreases_after_stress_relief():
-    state = apply_stress_step(DeviceState(), DEFAULTS, 110.0, 298.15, 100.0)
-    relaxed = apply_stress_step(state, DEFAULTS, 20.0, 298.15, 1.0)
-    assert relaxed.delta_r_fraction >= state.delta_r_fraction
-
-
-def test_apply_stress_step_rejects_bad_dt():
-    with pytest.raises(InvalidParameterError):
-        apply_stress_step(DeviceState(), DEFAULTS, 100.0, 298.15, 0.0)
-
-
-def test_apply_stress_step_refuses_a_nan_law_value():
-    """Finite parameters can still make the law NaN: a knee width so small
-    that the softplus gate overflows, times b = 0. The step must refuse it,
-    not keep the previous fraction."""
-    params = DegradationParams(a=0.01, b=0.0, alpha=1e-310)
-    assert math.isnan(stress_slope(params, 110.0, 298.15))
-    with pytest.raises(InvalidParameterError, match="delta_r_fraction must be >= 0 and finite"):
-        apply_stress_step(DeviceState(), params, 110.0, 298.15, 10.0)
 
 
 def test_log_linearity_far_above_reference_time():

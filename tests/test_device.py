@@ -133,7 +133,7 @@ def test_state_invariants_enforced():
         DeviceState(rds_on_nominal=0.0)
 
 
-@pytest.mark.parametrize("field", ["delta_r_fraction", "stress_time"])
+@pytest.mark.parametrize("field", ["delta_r_fraction"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_state_rejects_non_finite_values(field, value):
     with pytest.raises(InvalidParameterError, match=field):
