@@ -108,8 +108,8 @@ def fit_log_time(samples: list[RdsSample]) -> FitResult:
     """OLS fit of rds_on against ln(t).
 
     Samples at t = 0 are dropped (ln undefined) and reported via
-    ``n_dropped``. A zero-variance target is fit with slope 0 and, by
-    convention, r_squared = 0.
+    ``n_dropped``. A constant target is fit with slope 0, the constant as
+    intercept and, by convention, r_squared = 0.
     """
     kept = [s for s in samples if s.t > 0.0]
     n_dropped = len(samples) - len(kept)
@@ -122,17 +122,14 @@ def fit_log_time(samples: list[RdsSample]) -> FitResult:
     sxx = float(((x - x.mean()) ** 2).sum())
     if sxx == 0.0:
         raise DegenerateRegressionError("all samples share the same time; slope undefined")
+    if (y == y[0]).all():  # values, not syy: the float mean of equal values may differ
+        return FitResult(0.0, float(y[0]), 0.0, len(kept), n_dropped)
     sxy = float(((x - x.mean()) * (y - y.mean())).sum())
     slope = sxy / sxx
     intercept = float(y.mean()) - slope * float(x.mean())
     syy = float(((y - y.mean()) ** 2).sum())
-    if syy == 0.0:
-        r_squared = 0.0  # constant target: no variance to explain
-        slope = 0.0
-        intercept = float(y.mean())
-    else:
-        resid = y - (intercept + slope * x)
-        r_squared = 1.0 - float((resid ** 2).sum()) / syy
-        r_squared = min(max(r_squared, 0.0), 1.0)
+    resid = y - (intercept + slope * x)
+    r_squared = 1.0 - float((resid ** 2).sum()) / syy if syy > 0.0 else 0.0  # spread underflowed
+    r_squared = min(max(r_squared, 0.0), 1.0)
     return FitResult(slope=slope, intercept=intercept, r_squared=r_squared,
                      n=len(kept), n_dropped=n_dropped)

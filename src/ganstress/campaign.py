@@ -14,8 +14,8 @@ takes the metrics of its one exact period. When the orbit leaves that
 topology (the current reaches zero, the output leaves the clamp) or the
 step is too stiff for the closed form, it falls back to marching
 ``sim.n_periods`` periods and averaging the part after
-``sim.settle_fraction``; each fallback is recorded in the cell's
-``quality_flags`` with the sample index, or "tuning", and the event. That
+``sim.settle_fraction``; ``_measure`` records each fallback, tuning's
+included, in the cell's ``quality_flags`` with its stage and event. That
 window is not checked for periodicity, and in discontinuous conduction it
 is mostly still a transient (the 120 V / 0.25 A cells of a wide grid).
 
@@ -44,6 +44,7 @@ from .converter import (
     CircuitParams,
     DriveSignal,
     SimConfig,
+    SteadyStateMetrics,
     periodic_steady_state,
 )
 from .degradation import DegradationParams, delta_r_fraction
@@ -55,14 +56,14 @@ SAMPLES_PER_DECADE = 20
 #: Decades below the cell duration covered by the default schedule.
 DEFAULT_SCHEDULE_DECADES = 3.0
 
-#: Campaign drive defaults: fast PWM keeps the switch in continuous
-#: conduction so the clamp holds the drain at the stress level off-time.
-#: The current stays continuous while the drive target exceeds about half
-#: the off-phase ripple, which grows with stress voltage. With the default
-#: inductor, 5 MHz keeps a 0.4 A drive continuous up to ~190 V stress but a
-#: 0.25 A drive only up to ~118 V: the 120 V / 0.25 A cells are
-#: discontinuous, and their measurements fall back to marching.
-CAMPAIGN_DRIVE = DriveSignal(frequency=5e6, duty=0.7)
+#: Campaign drive; each cell sets its own duty. Fast PWM keeps the switch
+#: in continuous conduction so the clamp holds the drain at the stress
+#: level off-time. The current stays continuous while the drive target
+#: exceeds about half the off-phase ripple, which grows with stress voltage.
+#: With the default inductor, 5 MHz keeps a 0.4 A drive continuous up to
+#: ~190 V stress but a 0.25 A drive only up to ~118 V: the 120 V / 0.25 A
+#: cells are discontinuous, and their measurements fall back to marching.
+CAMPAIGN_DRIVE = DriveSignal(frequency=5e6)
 #: Campaign resolution; ``n_periods`` and ``settle_fraction`` size only the
 #: march a measurement falls back to.
 CAMPAIGN_SIM = SimConfig(steps_per_period=400, n_periods=140, settle_fraction=0.5)
@@ -136,16 +137,18 @@ class CellResult:
     fit: Optional[FitResult]
     soa_violations: list[tuple[int, SoaViolation]]  # (sample index, violation)
     quality_flags: list[str] = field(default_factory=list)
-    aborted: bool = False
     abort_reason: str = ""
+
+    @property
+    def aborted(self) -> bool:
+        return bool(self.abort_reason)
 
 
 @dataclass
 class CampaignResult:
-    """Ordered per-cell results plus the config hash of the run."""
+    """Per-cell results in input order."""
 
     cells: list[CellResult]
-    config_hash: str = ""
 
 
 def cell_circuit(cell: StressCell, circuit: CircuitParams) -> CircuitParams:
@@ -154,25 +157,31 @@ def cell_circuit(cell: StressCell, circuit: CircuitParams) -> CircuitParams:
     return replace(circuit, v_supply=cell.v_stress - 2.0 * circuit.diode_vf, r_load=None)
 
 
+def _measure(circuit: CircuitParams, drive: DriveSignal, device: DeviceState,
+             sim: SimConfig, stage: str, flags: list[str]) -> SteadyStateMetrics:
+    """Periodic steady-state metrics; a march fallback is flagged under ``stage``."""
+    m, fallback = periodic_steady_state(circuit, drive, device, sim)
+    if fallback is not None:
+        flags.append(f"{stage}: marched steady state ({fallback})")
+    return m
+
+
 def tune_vin(cell: StressCell, circuit: CircuitParams, drive: DriveSignal,
-             device: DeviceState, sim: SimConfig,
-             flags: Optional[list[str]] = None) -> float:
+             device: DeviceState, sim: SimConfig, flags: list[str]) -> float:
     """Secant search for the input voltage that hits the cell's on-time
     average current target within ``_TUNE_TOLERANCE`` (relative).
 
     The averaged-voltage relation makes the current nearly linear in vin, so
     the search converges in a few measurements, and a first guess that
-    already meets the target is returned after one. Measurements that fall
-    back to marching are appended to ``flags`` when it is given. Raises if
-    the target is not met within ``_TUNE_MAX_ITERATIONS``.
+    already meets the target is returned after one. Each measurement's
+    ``_measure`` stage is "tuning (vin = <vin> V)". Raises if the target is
+    not met within ``_TUNE_MAX_ITERATIONS``.
     """
     target = cell.i_drive
 
     def run(vin: float) -> float:
-        m, fallback = periodic_steady_state(replace(circuit, vin=vin), drive, device, sim)
-        if fallback is not None and flags is not None:
-            flags.append(f"tuning (vin = {vin!r} V): marched steady state ({fallback})")
-        return m.i_avg - target
+        return _measure(replace(circuit, vin=vin), drive, device, sim,
+                        f"tuning (vin = {vin!r} V)", flags).i_avg - target
 
     x0 = cell.duty * target * device.rds_on + (1.0 - cell.duty) * cell.v_stress
     f0 = run(x0)
@@ -197,17 +206,17 @@ def tune_vin(cell: StressCell, circuit: CircuitParams, drive: DriveSignal,
 
 
 def run_cell(cell: StressCell, circuit: CircuitParams, drive: DriveSignal,
-             ratings: DeviceRatings, deg: DegradationParams,
-             sim: SimConfig = CAMPAIGN_SIM) -> CellResult:
+             ratings: DeviceRatings, deg: DegradationParams, sim: SimConfig) -> CellResult:
     """Run one stress cell: degradation law + periodic steady-state extraction.
 
     Degradation is evaluated at the cell's stress level (the clamp pins the
     measured v_max there) and at each sample time, never below the previous
-    sample's fraction. SOA violations are recorded per sample and the
-    run continues. Any workbench error aborts the cell: ``abort_reason``
-    names the stage ("circuit set-up", "drive tuning" or "sample N (t = T
-    min)"), and the samples, flags and SOA records taken before it are kept,
-    the samples fitted if there are two. Deterministic for identical inputs.
+    sample's fraction. Every measurement goes through ``_measure``; a
+    non-positive extraction is flagged and skipped. SOA violations are
+    recorded per sample. Any workbench error aborts the cell:
+    ``abort_reason`` names the stage ("circuit set-up", "drive tuning" or
+    "sample N (t = T min)"); the samples, flags and SOA records taken before
+    it are kept, the samples fitted if there are two. Deterministic.
     """
     flags: list[str] = []
     samples: list[RdsSample] = []
@@ -221,16 +230,14 @@ def run_cell(cell: StressCell, circuit: CircuitParams, drive: DriveSignal,
         drv = replace(drive, duty=cell.duty)
         state = DeviceState(rds_on_nominal=ratings.rds_on_nominal)
         stage = "drive tuning"
-        vin = tune_vin(cell, circ, drv, state, sim, flags=flags)
+        vin = tune_vin(cell, circ, drv, state, sim, flags)
         circ = replace(circ, vin=vin)
         for idx, t_k in enumerate(cell.schedule()):
             stage = f"sample {idx} (t = {t_k:g} min)"
             # max(new, old): a NaN law value reaches DeviceState, which refuses it
             state = DeviceState(rds_on_nominal=state.rds_on_nominal, delta_r_fraction=max(
                 delta_r_fraction(deg, cell.v_stress, cell.temp, t_k), state.delta_r_fraction))
-            m, fallback = periodic_steady_state(circ, drv, state, sim)
-            if fallback is not None:
-                flags.append(f"{stage}: marched steady state ({fallback})")
+            m = _measure(circ, drv, state, sim, stage, flags)
             v_max_measured = max(v_max_measured, m.v_max)
             for viol in check_soa(ratings, m.v_max, m.i_peak, cell.temp):
                 violations.append((idx, viol))
@@ -245,13 +252,11 @@ def run_cell(cell: StressCell, circuit: CircuitParams, drive: DriveSignal,
     fit = fit_log_time(samples) if len(samples) >= 2 else None
     return CellResult(cell=cell, samples=samples, v_max_measured=v_max_measured,
                       vin_tuned=vin, fit=fit, soa_violations=violations,
-                      quality_flags=flags, aborted=bool(abort_reason),
-                      abort_reason=abort_reason)
+                      quality_flags=flags, abort_reason=abort_reason)
 
 
 def run_matrix(cells: list[StressCell], circuit: CircuitParams, drive: DriveSignal,
-               ratings: DeviceRatings, deg: DegradationParams,
-               sim: SimConfig = CAMPAIGN_SIM) -> CampaignResult:
+               ratings: DeviceRatings, deg: DegradationParams, sim: SimConfig) -> CampaignResult:
     """Run every cell independently; output order matches the input order.
 
     ``run_cell`` records a cell's abort in that cell's result, so one cell

@@ -95,10 +95,10 @@ def campaign(config_path, out, overrides, seed):
         cfg = _load_config(config_path, overrides, "campaign")
         result = run_matrix(cfg.cells, cfg.circuit, cfg.drive, cfg.ratings,
                             cfg.degradation, cfg.sim)
-        result.config_hash = config_hash(cfg)
+        digest = config_hash(cfg)
         out_dir = _prepare_out(out)
         paths = emit_results(result, out_dir)
-    click.echo(f"config_hash = {result.config_hash}")
+    click.echo(f"config_hash = {digest}")
     for idx, cell_result in enumerate(result.cells):
         if cell_result.aborted:
             click.echo(f"cell{idx:02d}: aborted ({cell_result.abort_reason})")

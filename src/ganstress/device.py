@@ -93,9 +93,6 @@ class SoaViolation:
     bound: float      # rating it was checked against
     excess: float     # how far outside the limit (positive)
 
-    def __str__(self) -> str:
-        return f"{self.limit}: {self.value:g} exceeds {self.bound:g} by {self.excess:g}"
-
 
 def check_soa(ratings: DeviceRatings, vds_peak: float, id_peak: float, tj: float) -> list[SoaViolation]:
     """Check a peak operating point against the ratings envelope.

@@ -184,7 +184,7 @@ def test_criterion_7_physics_invariants(boost_runs):
     # same invariants plus step-halving on a stress-campaign cell
     cell = StressCell(v_stress=60.0, temp=298.15, sample_times=(10.0,))
     circ = cell_circuit(cell, CircuitParams())
-    vin = tune_vin(cell, circ, CAMPAIGN_DRIVE, DeviceState(rds_on_nominal=3.3), CAMPAIGN_SIM)
+    vin = tune_vin(cell, circ, CAMPAIGN_DRIVE, DeviceState(rds_on_nominal=3.3), CAMPAIGN_SIM, [])
     circ = replace(circ, vin=vin)
     metrics = []
     for spp in (CAMPAIGN_SIM.steps_per_period, 2 * CAMPAIGN_SIM.steps_per_period):

@@ -26,12 +26,14 @@ from ganstress import campaign, converter
 from ganstress.campaign import (
     CAMPAIGN_DRIVE,
     CAMPAIGN_SIM,
+    CampaignResult,
     cell_circuit,
     default_sample_times,
     tune_vin,
 )
 from ganstress.config import parse_config
 from ganstress.errors import InsufficientDataError, InvalidParameterError
+from ganstress.results import emit_results
 
 CIRCUIT = CircuitParams()
 DEG_DEFAULTS = DegradationParams()
@@ -230,7 +232,24 @@ def test_negative_law_keeps_the_fresh_device():
     assert not res.aborted and not res.quality_flags
     assert len({s.rds_on for s in res.samples}) == 1
     assert res.samples == fresh.samples and res.fit == fresh.fit
-    assert abs(res.fit.slope) <= 1e-15 and res.fit.r_squared == 0.0
+    assert res.fit.slope == 0.0 and res.fit.r_squared == 0.0
+    assert res.fit.intercept == res.samples[0].rds_on
+
+
+def test_non_positive_extraction_skips_the_sample(tmp_path):
+    """A shape factor of 0.5 makes every extraction negative: each sample is
+    flagged and skipped, so the cell keeps no samples and has no fit but is
+    not aborted, and its summary row leaves the fit columns empty."""
+    cell = make_cell(60.0, shape_factor=0.5)
+    res = run_cell(cell, CIRCUIT, CAMPAIGN_DRIVE, EPC2038, DEG_DEFAULTS, CAMPAIGN_SIM)
+    assert not res.aborted and res.samples == [] and res.fit is None
+    assert len(res.quality_flags) == len(cell.schedule())
+    for idx, (t, flag) in enumerate(zip(cell.schedule(), res.quality_flags)):
+        stage, r = flag.split(": non-positive extraction ")
+        assert stage == f"sample {idx} (t = {t:g} min)"
+        assert -61.2 < float(r) < -61.0
+    emit_results(CampaignResult(cells=[res]), tmp_path)
+    assert (tmp_path / "summary.csv").read_text().splitlines()[1] == "cell00,60.0,60.0,298.15,,,"
 
 
 def test_default_schedule_is_log_spaced():
@@ -290,8 +309,9 @@ def test_tune_vin_returns_first_guess_after_one_measurement(monkeypatch):
     calls = count_measurements(monkeypatch)
     cell = StressCell(v_stress=60.0, temp=298.15)
     device = DeviceState(rds_on_nominal=EPC2038.rds_on_nominal)
-    vin = tune_vin(cell, cell_circuit(cell, CIRCUIT), CAMPAIGN_DRIVE, device, CAMPAIGN_SIM)
-    assert len(calls) == 1
+    flags = []
+    vin = tune_vin(cell, cell_circuit(cell, CIRCUIT), CAMPAIGN_DRIVE, device, CAMPAIGN_SIM, flags)
+    assert len(calls) == 1 and flags == []
     assert vin == cell.duty * cell.i_drive * device.rds_on + (1.0 - cell.duty) * cell.v_stress
 
 
@@ -302,7 +322,7 @@ def test_solved_steady_state_matches_long_march(v_stress):
     cell = StressCell(v_stress=v_stress, temp=298.15)
     device = DeviceState(rds_on_nominal=EPC2038.rds_on_nominal)
     circ = cell_circuit(cell, CIRCUIT)
-    circ = replace(circ, vin=tune_vin(cell, circ, CAMPAIGN_DRIVE, device, CAMPAIGN_SIM))
+    circ = replace(circ, vin=tune_vin(cell, circ, CAMPAIGN_DRIVE, device, CAMPAIGN_SIM, []))
     m, fallback = periodic_steady_state(circ, CAMPAIGN_DRIVE, device, CAMPAIGN_SIM)
     assert fallback is None
 

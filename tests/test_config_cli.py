@@ -407,12 +407,19 @@ DEFAULT_OUTPUT_DIGESTS = {
 }
 
 
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def file_digests(out) -> dict:
+    return {p.name: digest(p.read_bytes()) for p in out.iterdir()}
+
+
 def test_default_output_bytes_are_pinned(default_outputs):
     """The default ``campaign`` and ``simulate`` files keep their exact bytes."""
     for command, digests in DEFAULT_OUTPUT_DIGESTS.items():
         out, _ = default_outputs[command]
-        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in out.iterdir()}
-        assert got == digests, command
+        assert file_digests(out) == digests, command
 
 
 def test_cli_fit_reads_campaign_cell_csv(default_outputs):
@@ -467,6 +474,73 @@ def wide_grid_config() -> str:
              for v in (60.0, 80.0, 100.0, 120.0) for i in (0.25, 0.35, 0.45)
              for t in (25.0, 50.0, 75.0, 100.0, 125.0, 150.0) for d in (300.0, 3000.0)]
     return yaml.safe_dump({"cells": cells}, sort_keys=True)
+
+
+def probe_cell_config() -> str:
+    """The one-cell campaign whose accuracy the simulate benchmark reports."""
+    cell = {"duration_min": 1000.0, "i_drive": 0.4, "sample_times_min": [1.0, 31.62, 1000.0],
+            "temp_c": 25.0, "v_stress": 85.0}
+    return yaml.safe_dump({"cells": [cell]}, sort_keys=True)
+
+
+#: Digests of the wide grid's cell00.csv .. cell143.csv, in order.
+_WIDE_GRID_CELL_DIGESTS = """
+29c2556547ce9fba 8cb562a90d3c9e0f fea99b11daab8a73 5153cd8890b7fb65 074385a04f583e51
+c3c671d3812c6c5d 556b413843683016 0eb269224cfbf4c5 73ad3b485710cba9 4720153b7433e7f5
+8fd73e998e425e53 d92da55b01f2f438 361dbd2251985f92 9074a5ebe012550c e7c266db81cd978b
+5494003f067c4d0f fb136411f49f8db8 7ae8099defe6d758 8d861e19ab3cbb6f f44f22acba45f945
+515b8f84c1d67b84 a7a71552d73283e0 1fcefbeb48b812c7 7dc736e257219c34 8223313221f8b8f2
+52ceea90b430935c 191f2a971db85ae7 2983ec627e72162b d6a35633b0bcebb7 68dd5ed6e1db6134
+ca38d1920e841225 347dce9b31a72cbc 22dbd9157dd980fe 03cdd44a2ad570d1 e99efbe21df7076c
+78ae453d639cfe33 a3b828a06966c6b4 c6cbe5a1b3a80e79 91718c237d63f9d9 ab7f8a62ee22611d
+ead45062d5f2850b 04eb255886feaacc 908175a6239eda55 1e0ebe3c9c75f6fd e7f9d045db9ff3d5
+83db1cdb1ece5b28 0ef32ebf214432c8 365a6f2e9bee1487 c7a420047a84a4f2 236a8dc27f7ba3ea
+fd21741ee4622645 cdbf598ef050efab 3222aa2570bea2e3 aa9a7fc7c024f631 285b4ea8553ce0c0
+f4955b6cea8a4194 6256b17f6d4edcf6 b3158f26957559d3 97cfc41c37723fee 728425a3a19fc3da
+ad7ce9e7dc35f86d 5681348f90b2d95e d912c8b2452e8014 a5a7ae570d2ca8b3 45a0c8dc7f357fc8
+6f9968e98cc77eee 4452055664483173 ae53a6493d82f37b a453937c81b4963d fcea690de44c7cfc
+5b61129784940d0a 50aebfee366400e6 a72323671ea38305 bd3d2329981ef812 63c3ab818f71b60f
+164a913165917344 a4d297ef5302d9bd 7e5e0202093f9bde 56de1ef6d0e63d40 183e2deedaceeffe
+ccfa9618a83cbb91 b6b3844ed5352304 b22d6c6736f45924 6ecc6d5dcdfc348c 1a27164b536888bb
+e613fcfbe95ff28d cbf269830882fd3f c93a2e508b036f3d 2f677629a33cf943 9438fe8d7b2ed97d
+7804ad249013a342 02761ab6a4d4ae51 ab50b904f212fde7 bb2dcda94e8a9451 168f76e43ed65c51
+685608890587b307 ff998cb047b3ceb7 4f972f06c8fcfc03 9393d3ef20b3b57d 98cba84f4f5e7dd2
+d3f47fc69c873955 aeff88759e6a073e 468f24127c73d843 76a15e976ddda49c 0f7d33023c8b5be1
+e29385e71901890c 983948a501d6fd79 a95787dc8a504514 87b6d9274037b628 f490ea2b4bcebab4
+8745dcc450680822 3fc6e43180d86888 d9a53571c6566523 e3756c4da9fafa36 ed2b37d484e1e381
+7c46f71cb91d29bd fb9b917d5f9733a5 9c5ec495f6458963 1378393083536352 5963545af930abc0
+6585b4cd00afd0a3 bb6c39fad9dd2a94 135d2f5f4198d714 1735ac764d79231d 2fbdbd4f92a34a41
+950a23d040fd7f81 6f95ba3a2e6faecb 18886afada44cc3d 78e480c6f28f7d99 8cfe1fe8b22284e2
+9e4d871459630c7b 70bf77bd77acb8c1 11bbbd8efe2ec29e 9ae3df61e5e23385 a0d983563eaa46be
+e6467fbc91012bf8 71fc2cd9797a5a2b e8435e049872e5fd 71b952eb930ce34b 245c2b09c91c4647
+dd346fe14e8c0728 04c053634e71a8ba b2e093c1fb2a8ab6 a9cae83b3faa846a
+""".split()
+#: SHA-256 (first 16 hex digits) of each file a campaign on the probe cell
+#: and on the wide grid writes, and of its stdout with the output directory
+#: written as "OUT". Every measurement of the grid's twelve 120 V / 0.25 A
+#: cells falls back to marching, so these pin the march as well. A change
+#: that alters these bytes on purpose updates the digests here and gives its
+#: reason in CHANGES.md.
+CAMPAIGN_OUTPUT_DIGESTS = {
+    "probe": {"cell00.csv": "b254fdf112c0059a", "summary.csv": "66597342ff6f7d02",
+              "stdout": "a062269730176bcc"},
+    "wide-grid": {**{f"cell{i:02d}.csv": d for i, d in enumerate(_WIDE_GRID_CELL_DIGESTS)},
+                  "summary.csv": "0eac2aa10dd7d61b", "stdout": "5eea3c0dd7d9c7a2"},
+}
+
+
+@pytest.mark.parametrize("name, text", [("probe", probe_cell_config()),
+                                        ("wide-grid", wide_grid_config())])
+def test_campaign_output_bytes_are_pinned(tmp_path, name, text):
+    """A campaign's files and stdout keep their exact bytes."""
+    config_path = tmp_path / "c.yaml"
+    config_path.write_text(text)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli, ["campaign", "--config", str(config_path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    got = file_digests(out)
+    got["stdout"] = digest(result.stdout.replace(str(out), "OUT").encode())
+    assert got == CAMPAIGN_OUTPUT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("text", ["", wide_grid_config()], ids=["default", "wide-grid"])

@@ -6,6 +6,7 @@ from ganstress import (
     EPC2038,
     DeviceRatings,
     DeviceState,
+    SoaViolation,
     check_soa,
 )
 from ganstress.errors import InvalidParameterError
@@ -40,7 +41,7 @@ def test_soa_double_violation_names_limits_and_excess():
     by_limit = {v.limit: v for v in violations}
     assert by_limit["vds_max_pulsed"].excess == pytest.approx(10.0)
     assert by_limit["id_max"].excess == pytest.approx(0.1)
-    assert "by 10" in str(by_limit["vds_max_pulsed"])
+    assert by_limit["vds_max_pulsed"] == SoaViolation("vds_max_pulsed", 130.0, 120.0, 10.0)
 
 
 def test_soa_temperature_bounds():
